@@ -33,13 +33,20 @@ Summation machinery, bottom up:
   hardest weight-3 shapes at 1e-10; this route needs a few hundred.
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
-  truncated double sum of the defining series (numpy-vectorized), with a
-  color-independent integral-comparison tail bound.
+  truncated double sum of the defining series, with a color-independent
+  integral-comparison tail bound.  Each anti-diagonal is one row of a
+  sliding-window view of the m^-p table times the column n^-q (times
+  alpha^n), so no index arrays are built and scratch memory is O(cutoff).
 
 Compensated summation: math.fsum (exactly rounded) combines all scalar
-series; the oracle sums each anti-diagonal with numpy and fsum-combines the
-diagonal subtotals in order, which keeps results deterministic and lets the
-roundoff allowance assume worst-case sequential error within a diagonal.
+series and the oracle's diagonal subtotals, in order.  The oracle sums the
+terms within a diagonal with numpy's own einsum loop, never BLAS, in an
+unspecified order that is fixed for a given cutoff and numpy build, so its
+results are deterministic and do not change with the BLAS thread count.
+The roundoff allowance eps*(cutoff+64)*mass still covers that order:
+recursive summation of n terms in any order errs by at most gamma_(n-1)
+times their absolute sum (Higham, Accuracy and Stability of Numerical
+Algorithms, 4.2).
 """
 from __future__ import annotations
 
@@ -75,6 +82,13 @@ _BERNOULLI = {
 # default and the expansion depth of the outer tail.
 _LADDER_ORDER = 16
 
+# Diagonals per oracle row block; the block's window slice is 256 x k.
+_ORACLE_BLOCK = 256
+
+# Largest oracle_cutoff accepted: the oracle's scratch memory grows as
+# O(cutoff) and its time as O(cutoff^2).
+MAX_ORACLE_CUTOFF = 2**20
+
 
 @dataclass(frozen=True)
 class ValueWithError:
@@ -108,6 +122,8 @@ class EvalConfig:
             raise ValueError("tolerance must be >= 1e-13 (double precision floor)")
         if not isinstance(self.oracle_cutoff, int) or self.oracle_cutoff < 1:
             raise ValueError("oracle_cutoff must be a positive integer")
+        if self.oracle_cutoff > MAX_ORACLE_CUTOFF:
+            raise ValueError(f"oracle_cutoff must be <= 2**20 = {MAX_ORACLE_CUTOFF}")
         if not isinstance(self.max_inner_terms, int) or self.max_inner_terms < 1:
             raise ValueError("max_inner_terms must be a positive integer")
         o = self.euler_maclaurin_order
@@ -364,48 +380,41 @@ def eval_mt_direct(
 ) -> ValueWithError:
     """Ground-truth oracle: truncated double sum of the defining series.
 
-    Sums all (m, n) with m+n <= cfg.oracle_cutoff in diagonal-major order;
-    the bound is the color-independent absolute tail plus a worst-case
-    sequential roundoff allowance.
+    Sums all (m, n) with m+n <= cfg.oracle_cutoff, one anti-diagonal
+    k = m+n at a time.  A diagonal's sum over n is a row of a read-only
+    sliding-window view of the m^-p table contracted with n^-q alpha^n by
+    numpy's einsum loop, without BLAS and in an unspecified but fixed
+    order; the diagonal subtotals are fsum-combined in order.  The bound is
+    the color-independent absolute tail plus eps*(cutoff+64)*mass, which
+    covers any summation order within a diagonal.  Scratch memory is
+    O(cutoff), time O(cutoff^2).
     """
     p, q, r = index.p, index.q, index.r
     cut = cfg.oracle_cutoff
-    ta = _phase_table(alpha)
-    tb = _phase_table(beta)
-    na, nb = alpha.order, beta.order
+    if cut < 2:
+        return ValueWithError(0j, oracle_tail_bound(p, q, r, cut))
+    size = cut - 1
+    ns = np.arange(1, cut, dtype=np.float64)
+    a = _neg_int_pow(ns, p)
+    b = _neg_int_pow(ns, q)
+    phase = _phase_table(alpha)[np.arange(1, cut) % alpha.order]
+    cols = (phase.real * b, phase.imag * b, b)
 
-    diag_re: list[float] = []
-    diag_im: list[float] = []
-    diag_abs: list[float] = []
-    budget = 1 << 20
-    k = 2
-    while k <= cut:
-        k_end = k
-        count = 0
-        while k_end <= cut and (count == 0 or count + k_end - 1 <= budget):
-            count += k_end - 1
-            k_end += 1
-        kv = np.arange(k, k_end, dtype=np.int64)
-        lens = kv - 1
-        starts = np.zeros(len(kv), dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        total = int(lens.sum())
-        kk = np.repeat(kv, lens)
-        mm = np.arange(total, dtype=np.int64) - np.repeat(starts, lens) + 1
-        nn = kk - mm
-        mag = _neg_int_pow(mm.astype(np.float64), p) * _neg_int_pow(nn.astype(np.float64), q)
-        inner = ta[np.mod(nn, na)] * mag
-        seg = np.add.reduceat(inner, starts)
-        segabs = np.add.reduceat(mag, starts)
-        kf = _neg_int_pow(kv.astype(np.float64), r)
-        contrib = seg * tb[np.mod(kv, nb)] * kf
-        diag_re.extend(contrib.real.tolist())
-        diag_im.extend(contrib.imag.tolist())
-        diag_abs.extend((segabs * kf).tolist())
-        k = k_end
+    # Row k-2 of v is diagonal k: v[k-2, n-1] = (k-n)^-p for n < k, else 0.
+    zr = np.concatenate((a[::-1], np.zeros(size - 1)))
+    v = np.lib.stride_tricks.sliding_window_view(zr, size)[::-1]
+    rows = np.empty((3, size))
+    for i0 in range(0, size, _ORACLE_BLOCK):
+        i1 = min(i0 + _ORACLE_BLOCK, size)
+        block = v[i0:i1, :i1]
+        for row, col in zip(rows, cols):
+            row[i0:i1] = np.einsum("ij,j->i", block, col[:i1])
 
-    value = complex(fsum(diag_re), fsum(diag_im))
-    mass = fsum(diag_abs)
+    ks = np.arange(2, cut + 1)
+    kf = _neg_int_pow(ks.astype(np.float64), r)
+    contrib = (rows[0] + 1j * rows[1]) * _phase_table(beta)[ks % beta.order] * kf
+    value = complex(fsum(contrib.real.tolist()), fsum(contrib.imag.tolist()))
+    mass = fsum((rows[2] * kf).tolist())
     bound = oracle_tail_bound(p, q, r, cut) + _EPS * (cut + 64.0) * mass
     return ValueWithError(value, bound)
 

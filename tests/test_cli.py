@@ -74,6 +74,11 @@ def test_oracle_command(capsys):
     assert out.startswith("-0.2402184")
 
 
+def test_oracle_cutoff_over_limit_exits_2(capsys):
+    assert run(["oracle", "--p", "2", "--q", "1", "--r", "2", "--cutoff", "1000000000"]) == 2
+    assert "oracle_cutoff must be <= 2**20" in capsys.readouterr().err
+
+
 def test_complex_colors(capsys):
     assert run(["eval", "--p", "1", "--q", "1", "--r", "2", "--alpha", "1/4", "--beta", "1/3"]) == 0
     out = capsys.readouterr().out

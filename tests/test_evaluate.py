@@ -1,5 +1,9 @@
+import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from tornheim import (
     tail_sum,
     zeta_const,
 )
-from tornheim.evaluate import _li_once
+from tornheim.evaluate import MAX_ORACLE_CUTOFF, _li_once
 
 I = RootOfUnity(1, 4)
 W3 = RootOfUnity(1, 3)
@@ -216,7 +220,60 @@ class TestOracle:
         idx = MTIndex(1, 1, 2)
         v = eval_mt_direct(idx, I, W3, cfg)
         vc = eval_mt_direct(idx, I.conjugate(), W3.conjugate(), cfg)
-        assert abs(vc.value - v.value.conjugate()) < 1e-12
+        assert vc.value == v.value.conjugate()
+        assert vc.error_bound == v.error_bound
+
+    def test_edge_cutoffs(self):
+        # cutoff 1 has no diagonal, cutoff 2 the single term m = n = 1
+        idx = MTIndex(2, 1, 2)
+        empty = eval_mt_direct(idx, MINUS_ONE, ONE, EvalConfig(oracle_cutoff=1))
+        one = eval_mt_direct(idx, MINUS_ONE, ONE, EvalConfig(oracle_cutoff=2))
+        assert empty.value == 0j
+        assert empty.error_bound == oracle_tail_bound(2, 1, 2, 1)
+        assert one.value == -0.25 + 0j
+
+    @pytest.mark.parametrize("cut", [2, 3, 17, 64])
+    @pytest.mark.parametrize(
+        "pqr, alpha, beta",
+        [
+            ((1, 2, 3), I, W3),
+            ((0, 2, 2), RootOfUnity(5, 12), I),
+            ((2, 0, 3), W3, RootOfUnity(3, 8)),
+        ],
+    )
+    def test_window_indexing_vs_explicit_terms(self, cut, pqr, alpha, beta):
+        # plain-Python sum of every (m, n) term with m+n <= cut; only the
+        # roundoff allowance separates the two, so a shifted window cannot hide
+        p, q, r = pqr
+        ua = cmath.exp(2j * math.pi * alpha.exponent / alpha.order)
+        ub = cmath.exp(2j * math.pi * beta.exponent / beta.order)
+        terms = [
+            ua**n * ub ** (m + n) / (m**p * n**q * (m + n) ** r)
+            for m in range(1, cut)
+            for n in range(1, cut + 1 - m)
+        ]
+        ref = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        mass = math.fsum(abs(t) for t in terms)
+        v = eval_mt_direct(MTIndex(p, q, r), alpha, beta, EvalConfig(oracle_cutoff=cut))
+        assert abs(v.value - ref) <= 2.220446049250313e-16 * (cut + 64) * mass
+
+    def test_thread_count_independent(self):
+        # the row sums must not go through a threaded BLAS: a 1-thread and
+        # a 2-thread process give the same bits
+        code = (
+            "from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct\n"
+            "v = eval_mt_direct(MTIndex(1, 2, 3), RootOfUnity(1, 4), RootOfUnity(1, 3),"
+            " EvalConfig(oracle_cutoff=12000))\n"
+            "print(repr(v.value), repr(v.error_bound))\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_real_output_for_real_colors(self):
         cfg = EvalConfig(oracle_cutoff=1000)
@@ -308,6 +365,11 @@ class TestConfigAndValue:
             EvalConfig(euler_maclaurin_order=18)
         with pytest.raises(ValueError):
             EvalConfig(max_inner_terms=0)
+
+    def test_oracle_cutoff_limit(self):
+        assert EvalConfig(oracle_cutoff=MAX_ORACLE_CUTOFF).oracle_cutoff == 2**20
+        with pytest.raises(ValueError, match=r"2\*\*20"):
+            EvalConfig(oracle_cutoff=MAX_ORACLE_CUTOFF + 1)
 
     def test_value_with_error_rejects_nonfinite(self):
         with pytest.raises(ValueError):
