@@ -21,16 +21,36 @@ Summation machinery, bottom up:
 
       T = x^n N^(-s) sum_{c=1..N} x^c H(s, (n+c)/N),
 
-  a finite combination of Hurwitz tails.
+  a finite combination of Hurwitz tails.  The row H(s, (n+c)/N), c = 1..N,
+  depends on the root's order N but not on its exponent, so it is memoised
+  per (s, N, n, order) and every root of order N weights the same row by
+  its own phases.
 
 * eval_li(s, t, x, y): sum_{n<=n0} y^n n^(-t) T(s,x,n) is summed directly
   (T obtained for every n from one tail_sum at n0 plus a reverse running
-  sum).  The remainder sum_{n>n0} collapses the same way: substituting the
+  sum, done as numpy arrays that repeat the scalar loop's roundings).  The
+  remainder sum_{n>n0} collapses the same way: substituting the
   Euler-Maclaurin expansion of H into T and re-expanding (n+c)^(-sigma)
   binomially around n turns it into a rapidly convergent combination of
   higher-weight single tails sum_{n>n0} (xy)^n n^(-omega), i.e. tail_sum
   again.  Plain truncation of the n-sum would need ~1e10 terms for the
-  hardest weight-3 shapes at 1e-10; this route needs a few hundred.
+  hardest weight-3 shapes at 1e-10; this route needs a few hundred.  The
+  head needs n0 > 2*ord(x) for the re-expansion to converge, so eval_li
+  rejects a max_inner_terms below 2*ord(x)+1.
+
+* Memos under eval_li: phase tables root_value(e/N) per order N, the
+  Hurwitz rows above, the ladder tails tail_sum(omega, xy, n0) shared by
+  every shape and color pair with that product, and the n^-e tables of
+  the head.  They only skip recomputation; every value and bound is bit
+  for bit what the uncached arithmetic gives.  eval_li.cache_clear()
+  empties them together with eval_li's own cache, so a cleared process
+  recomputes everything a new one would (only the few dozen
+  Euler-Maclaurin coefficients stay), while eval_li.cache_info() counts
+  eval_li's own hits and misses.  hurwitz_tail and tail_sum themselves
+  stay uncached.  Memory grows with the distinct inputs seen:
+  O(distinct (s, order, n0) x order) floats for the rows,
+  O(distinct (e, n0) x n0) for the power tables, one entry per distinct
+  (omega, xy, n0) rung, and one entry per distinct eval_li call.
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
   truncated double sum of the defining series, with a color-independent
@@ -190,8 +210,28 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
     return head + tail, bound + 4.0 * _EPS * (head + abs(tail))
 
 
-def _pow_value(x: RootOfUnity, m: int) -> complex:
-    return root_value(RootOfUnity(x.exponent * m, x.order))
+@lru_cache(maxsize=None)
+def _phases(order: int) -> tuple[complex, ...]:
+    """root_value(RootOfUnity(e, order)) for e = 0..order-1."""
+    return tuple(root_value(RootOfUnity(e, order)) for e in range(order))
+
+
+@lru_cache(maxsize=None)
+def _hurwitz_row(s: int, nn: int, n: int, order: int) -> tuple[tuple[float, ...], float, float]:
+    """H(s, (n+c)/nn) for c = 1..nn, with their summed bounds and summed |H|.
+
+    Every root of order nn shares this row; only the phases that weight it
+    in tail_sum depend on the root's exponent.
+    """
+    row = []
+    bound = 0.0
+    mass = 0.0
+    for c in range(1, nn + 1):
+        hz, hb = hurwitz_tail(s, (n + c) / nn, order)
+        row.append(hz)
+        bound += hb
+        mass += abs(hz)
+    return tuple(row), bound, mass
 
 
 def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
@@ -200,46 +240,71 @@ def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
         raise ValueError("tail_sum requires integer s >= 2")
     if not isinstance(n, int) or n < 0:
         raise ValueError("tail_sum requires integer n >= 0")
-    nn = x.order
+    nn, k = x.order, x.exponent
     scale = float(nn) ** -s
-    re, im = [], []
-    bound = 0.0
-    mass = 0.0
-    for c in range(1, nn + 1):
-        hz, hb = hurwitz_tail(s, (n + c) / nn, order)
-        ph = _pow_value(x, c)
-        re.append(ph.real * hz)
-        im.append(ph.imag * hz)
-        bound += hb
-        mass += abs(hz)
-    front = _pow_value(x, n)
+    row, bound, mass = _hurwitz_row(s, nn, n, order)
+    ph = _phases(nn)
+    re = [ph[(k * c) % nn].real * hz for c, hz in enumerate(row, 1)]
+    im = [ph[(k * c) % nn].imag * hz for c, hz in enumerate(row, 1)]
+    front = ph[(k * n) % nn]
     value = front * complex(fsum(re), fsum(im)) * scale
     return ValueWithError(value, scale * (bound + 8.0 * _EPS * mass))
+
+
+@lru_cache(maxsize=None)
+def _ladder_tail(omega: int, z: RootOfUnity, n0: int) -> ValueWithError:
+    """One rung of eval_li's acceleration ladder, shared by every shape."""
+    return tail_sum(omega, z, n0, _LADDER_ORDER)
+
+
+@lru_cache(maxsize=None)
+def _inv_powers(e: int, n0: int) -> np.ndarray:
+    """float(n) ** -e for n = n0, n0-1, ..., 1: the head's order of n."""
+    table = np.array([float(n) ** -e for n in range(n0, 0, -1)])
+    table.flags.writeable = False
+    return table
+
+
+def _li_head(
+    t_n0: complex, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int
+) -> tuple[complex, float]:
+    """sum_{n<=n0} y^n n^(-t) T(s,x,n) and its absolute mass, from T(s,x,n0).
+
+    T(s,x,n) for n < n0 comes from a reverse running sum.  The arrays run
+    over n = n0..1 and spell each complex product out as CPython evaluates
+    it (a float f enters as f + 0j), and both running sums are sequential,
+    so every term is bit for bit that of the scalar loop
+    ``g = y**n * T * n**-t; T += x**n * n**-s``.
+    """
+    nx, kx = x.order, x.exponent
+    ny, ky = y.order, y.exponent
+    ns = np.arange(n0, 0, -1)
+    xn = np.array(_phases(nx))[(kx * ns) % nx]
+    yn = np.array(_phases(ny))[(ky * ns) % ny]
+    fs, ft = _inv_powers(s, n0), _inv_powers(t, n0)
+    step_re = xn.real * fs - xn.imag * 0.0
+    step_im = xn.real * 0.0 + xn.imag * fs
+    t_re = np.add.accumulate(np.concatenate(([t_n0.real], step_re[:-1])))
+    t_im = np.add.accumulate(np.concatenate(([t_n0.imag], step_im[:-1])))
+    p_re = yn.real * t_re - yn.imag * t_im
+    p_im = yn.real * t_im + yn.imag * t_re
+    re = p_re * ft - p_im * 0.0
+    im = p_re * 0.0 + p_im * ft
+    mass = float(np.add.accumulate(np.hypot(re, im))[-1])
+    return complex(fsum(re.tolist()), fsum(im.tolist())), mass
 
 
 def _li_once(
     s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, order: int
 ) -> tuple[complex, float]:
     nx, kx = x.order, x.exponent
-    ny, ky = y.order, y.exponent
     z = root_mul(x, y)
     half = order // 2
-
-    xv = [root_value(RootOfUnity(e, nx)) for e in range(nx)]
-    yv = [root_value(RootOfUnity(e, ny)) for e in range(ny)]
+    xv = _phases(nx)
 
     # Head: sum_{n<=n0} y^n n^(-t) T(s,x,n), T by reverse running sum.
     t_at_n0 = tail_sum(s, x, n0, order)
-    t_run = t_at_n0.value
-    re, im = [], []
-    mass_head = 0.0
-    for n in range(n0, 0, -1):
-        g = yv[(ky * n) % ny] * t_run * float(n) ** -t
-        re.append(g.real)
-        im.append(g.imag)
-        mass_head += abs(g)
-        t_run = t_run + xv[(kx * n) % nx] * float(n) ** -s
-    head = complex(fsum(re), fsum(im))
+    head, mass_head = _li_head(t_at_n0.value, s, t, x, y, n0)
     # sum_{n<=n0} n^(-t) weights the per-n T error (EM bound plus the
     # running-sum roundoff, itself at most eps * sum |x^m m^-s|).
     hsum = 1.0 + math.log(n0) if t == 1 else 1.6449340668482266
@@ -257,7 +322,7 @@ def _li_once(
     def lam_at(omega: int) -> ValueWithError:
         got = lam.get(omega)
         if got is None:
-            got = lam[omega] = tail_sum(omega, z, n0, _LADDER_ORDER)
+            got = lam[omega] = _ladder_tail(omega, z, n0)
         return got
 
     nf = float(n0)
@@ -317,11 +382,18 @@ def eval_li(
 
     The returned bound is <= cfg.tolerance unless max_inner_terms capped the
     head length, in which case the bound reports what was actually achieved.
+    A max_inner_terms below 2*ord(x)+1 is a ValueError: the tail's binomial
+    re-expansion needs a head longer than twice the order of x.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("eval_li requires integer s >= 2")
     if not isinstance(t, int) or t < 1:
         raise ValueError("eval_li requires integer t >= 1")
+    if cfg.max_inner_terms < 2 * x.order + 1:
+        raise ValueError(
+            f"max_inner_terms = {cfg.max_inner_terms} is below 2*order+1 = {2 * x.order + 1}"
+            f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
+        )
     n0 = min(cfg.max_inner_terms, max(128, 16 * x.order))
     while True:
         value, bound = _li_once(s, t, x, y, n0, cfg.euler_maclaurin_order)
@@ -330,8 +402,23 @@ def eval_li(
         n0 = min(2 * n0, cfg.max_inner_terms)
 
 
+_LI_MEMOS = (_phases, _hurwitz_row, _ladder_tail, _inv_powers)
+_eval_li_cache_clear = eval_li.cache_clear
+
+
+def _clear_li_caches() -> None:
+    """Empty eval_li's cache together with every private memo under it."""
+    _eval_li_cache_clear()
+    for memo in _LI_MEMOS:
+        memo.cache_clear()
+
+
+eval_li.cache_clear = _clear_li_caches
+
+
 def _phase_table(root: RootOfUnity) -> np.ndarray:
-    return np.array([_pow_value(root, j) for j in range(root.order)], dtype=np.complex128)
+    """root^j for j = 0..order-1 as a complex array."""
+    return np.array(_phases(root.order))[(root.exponent * np.arange(root.order)) % root.order]
 
 
 def _neg_int_pow(base: np.ndarray, e: int) -> np.ndarray:

@@ -26,7 +26,8 @@ from tornheim import (
     tail_sum,
     zeta_const,
 )
-from tornheim.evaluate import MAX_ORACLE_CUTOFF, _li_once
+from tornheim import evaluate
+from tornheim.evaluate import MAX_ORACLE_CUTOFF, _hurwitz_row, _li_head, _li_once
 
 I = RootOfUnity(1, 4)
 W3 = RootOfUnity(1, 3)
@@ -195,6 +196,121 @@ class TestEvalLi:
             eval_li(1, 1, ONE, ONE)
         with pytest.raises(ValueError):
             eval_li(2, 0, ONE, ONE)
+
+    def test_cap_below_twice_order_is_a_named_error(self):
+        # These two calls used to raise OverflowError and RuntimeError.
+        with pytest.raises(ValueError, match=r"max_inner_terms.*order 4"):
+            eval_li(2, 1, I, ONE, EvalConfig(max_inner_terms=1))
+        with pytest.raises(ValueError, match=r"max_inner_terms.*order 7"):
+            eval_li(2, 1, RootOfUnity(1, 7), ONE, EvalConfig(max_inner_terms=5))
+        for cap in range(1, 49):
+            with pytest.raises(ValueError, match=r"max_inner_terms.*order 24"):
+                eval_li(2, 1, RootOfUnity(5, 24), ONE, EvalConfig(max_inner_terms=cap))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 12, 24])
+    def test_every_cap_from_twice_order_plus_one_is_honest(self, order):
+        x = RootOfUnity(1, order)
+        for s, t, y in [(2, 1, ONE), (3, 2, W3), (10, 10, RootOfUnity(7, 24))]:
+            ref = eval_li(s, t, x, y)
+            for cap in [*range(2 * order + 1, 2 * order + 9), 16 * order + 1]:
+                v = eval_li(s, t, x, y, EvalConfig(max_inner_terms=cap))
+                assert abs(v.value - ref.value) <= v.error_bound + ref.error_bound
+
+
+def _scalar_head(t_n0, s, t, x, y, n0):
+    """The head as one plain loop over n = n0..1, the reference for _li_head."""
+    t_run = t_n0
+    re, im = [], []
+    mass = 0.0
+    for n in range(n0, 0, -1):
+        g = (y**n).value() * t_run * float(n) ** -t
+        re.append(g.real)
+        im.append(g.imag)
+        mass += abs(g)
+        t_run = t_run + (x**n).value() * float(n) ** -s
+    return complex(math.fsum(re), math.fsum(im)), mass
+
+
+class TestLiMemos:
+    def test_cache_clear_empties_every_private_memo(self):
+        # Every lru_cache of the module but eval_li's own and the
+        # Euler-Maclaurin coefficients (a few dozen small constants) is a
+        # memo of the Li layer, and eval_li.cache_clear() must reach it.
+        memos = [
+            f
+            for name, f in vars(evaluate).items()
+            if hasattr(f, "cache_info") and name not in ("eval_li", "_em_params")
+        ]
+        assert set(memos) == set(evaluate._LI_MEMOS)
+        eval_li(3, 2, I, W3)
+        assert all(f.cache_info().currsize for f in memos)
+        eval_li.cache_clear()
+        assert eval_li.cache_info().currsize == 0
+        assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
+
+    def test_cache_info_counts_eval_li_itself(self):
+        eval_li.cache_clear()
+        eval_li(2, 1, I, W3)
+        eval_li(2, 1, I, W3)
+        info = eval_li.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_roots_of_one_order_share_a_hurwitz_row(self, monkeypatch):
+        calls = []
+
+        def counted(s, w, order=8):
+            calls.append((s, w))
+            return hurwitz_tail(s, w, order)
+
+        monkeypatch.setattr(evaluate, "hurwitz_tail", counted)
+        eval_li.cache_clear()
+        a = tail_sum(3, RootOfUnity(1, 8), 128)
+        rows = _hurwitz_row.cache_info()
+        b = tail_sum(3, RootOfUnity(3, 8), 128)
+        assert len(calls) == 8 and _hurwitz_row.cache_info().currsize == rows.currsize == 1
+        assert a.value != b.value and a.error_bound == b.error_bound
+
+    def test_public_layers_are_not_cached(self, monkeypatch):
+        assert not hasattr(hurwitz_tail, "cache_info") and not hasattr(tail_sum, "cache_info")
+        assert hurwitz_tail(3, 2.5) is not hurwitz_tail(3, 2.5)
+        assert tail_sum(3, I, 64) is not tail_sum(3, I, 64)
+        # After a clear, tail_sum reaches hurwitz_tail through the module
+        # namespace again, where a tracer can see it.
+        calls = []
+        monkeypatch.setattr(evaluate, "hurwitz_tail", lambda *a: calls.append(a) or hurwitz_tail(*a))
+        eval_li.cache_clear()
+        tail_sum(3, I, 64)
+        assert len(calls) == 4
+
+    def test_cold_value_equals_warm_value_bit_for_bit(self):
+        shapes = [(2, 1, I, W3), (5, 3, RootOfUnity(5, 12), RootOfUnity(3, 8)), (19, 1, MINUS_ONE, I)]
+        eval_li.cache_clear()
+        cold = [eval_li(*shape) for shape in shapes]
+        # Neighbours that share phase tables, Hurwitz rows and ladder rungs.
+        for s, t, x, y in shapes:
+            eval_li(s, t, x.conjugate(), y)
+            eval_li(s + 1, t, x, y.conjugate())
+        warm = [eval_li.__wrapped__(*shape) for shape in shapes]
+        assert [(repr(v.value), repr(v.error_bound)) for v in warm] == [
+            (repr(v.value), repr(v.error_bound)) for v in cold
+        ]
+
+    @pytest.mark.parametrize(
+        "s, t, x, y, n0",
+        [
+            (2, 1, ONE, ONE, 1),
+            (2, 1, ONE, ONE, 128),
+            (3, 2, I, W3, 200),
+            (4, 1, MINUS_ONE, RootOfUnity(5, 12), 64),
+            (9, 7, RootOfUnity(7, 24), RootOfUnity(3, 8), 389),
+            (2, 18, RootOfUnity(2, 5), RootOfUnity(11, 24), 512),
+        ],
+    )
+    def test_vector_head_equals_scalar_loop(self, s, t, x, y, n0):
+        t_n0 = tail_sum(s, x, n0).value
+        head, mass = _li_head(t_n0, s, t, x, y, n0)
+        ref_head, ref_mass = _scalar_head(t_n0, s, t, x, y, n0)
+        assert repr(head) == repr(ref_head) and repr(mass) == repr(ref_mass)
 
 
 class TestOracle:
