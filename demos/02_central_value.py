@@ -15,13 +15,14 @@ from tornheim import (
     ONE,
     EvalConfig,
     MTIndex,
+    check_relation,
     decompose,
     eval_decomposition,
     eval_mt_direct,
-    pi_const,
+    parse_relation,
     to_level2,
-    zeta_const,
 )
+from tornheim.verify import R212_CLOSED_FORM, R212_DISPUTED_FORM, eval_constants
 
 idx = MTIndex(2, 1, 2)
 cfg = EvalConfig()  # tolerance 1e-10, oracle cutoff 20000
@@ -36,19 +37,22 @@ print("   R(2,1,2) = " + " + ".join(t.pretty() for t in to_level2(d)))
 dec = eval_decomposition(d, cfg)
 print(f"   {dec.value.real:.12f}  (error bound {dec.error_bound:.2e})")
 
-z5 = zeta_const(5).value.real
-z3 = zeta_const(3).value.real
-pi = pi_const().value.real
+# Both closed forms go through the relation evaluator: zeta(s) and pi carry
+# their own bounds, and the rational combination propagates them.
+corrected = parse_relation(f"{R212_CLOSED_FORM} == MT(2,1,2;-1,1)")
+published = parse_relation(f"{R212_DISPUTED_FORM} == MT(2,1,2;-1,1)")
 
-print("\n3. Closed form (107/32) zeta(5) - (5/16) pi^2 zeta(3):")
-closed = (107 / 32) * z5 - (5 / 16) * pi**2 * z3
-print(f"   {closed:.12f}")
+print(f"\n3. Closed form {R212_CLOSED_FORM}:")
+closed = eval_constants(corrected.terms)
+print(f"   {closed.value.real:.12f}  (error bound {closed.error_bound:.2e})")
+print(f"   relation check: {check_relation(corrected, cfg).status}")
 
-print("\nThe published closed form (45/16) zeta(5) - (1/4) pi^2 zeta(3):")
-disputed = (45 / 16) * z5 - (1 / 4) * pi**2 * z3
-print(f"   {disputed:.12f}")
-print(f"   ... which misses the series value by {abs(disputed - oracle.value.real):.10f}")
+print(f"\nThe published closed form {R212_DISPUTED_FORM}:")
+disputed = eval_constants(published.terms)
+print(f"   {disputed.value.real:.12f}  (error bound {disputed.error_bound:.2e})")
+print(f"   ... which misses the series value by {abs(disputed.value - oracle.value):.10f}")
+print(f"   relation check: {check_relation(published, cfg).status}")
 
 print("\nAgreement summary:")
 print(f"   |oracle - decomposition| = {abs(oracle.value - dec.value):.2e}")
-print(f"   |oracle - closed form|   = {abs(oracle.value.real - closed):.2e}")
+print(f"   |oracle - closed form|   = {abs(oracle.value - closed.value):.2e}")

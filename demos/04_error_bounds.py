@@ -18,8 +18,8 @@ from tornheim import (
     RootOfUnity,
     eval_li,
     eval_mt_direct,
-    tail_sum,
 )
+from tornheim.evaluate import tail_sum
 
 print("Bound vs actual error against closed forms:")
 z2 = tail_sum(2, ONE, 0)

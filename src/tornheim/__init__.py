@@ -21,7 +21,6 @@ from .decompose import (
     MTIndex,
     PartialFractionTerm,
     decompose,
-    expansion_terms,
     partial_fraction,
     r_decomposition,
     s_decomposition,
@@ -35,10 +34,7 @@ from .evaluate import (
     eval_decomposition,
     eval_li,
     eval_mt_direct,
-    hurwitz_tail,
-    oracle_tail_bound,
     pi_const,
-    tail_sum,
     zeta_const,
 )
 from .verify import (
@@ -74,7 +70,6 @@ __all__ = [
     "MTIndex",
     "PartialFractionTerm",
     "decompose",
-    "expansion_terms",
     "partial_fraction",
     "r_decomposition",
     "s_decomposition",
@@ -86,10 +81,7 @@ __all__ = [
     "eval_decomposition",
     "eval_li",
     "eval_mt_direct",
-    "hurwitz_tail",
-    "oracle_tail_bound",
     "pi_const",
-    "tail_sum",
     "zeta_const",
     "Fixture",
     "RelationSpec",

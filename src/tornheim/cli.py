@@ -1,8 +1,8 @@
 """Command-line front end: decompose, eval, oracle, verify, relation.
 
-Exit codes: 0 success, 1 verification failure, 2 argument/constraint error.
-Default colors are alpha = 1/2 (i.e. -1) and beta = 0/1 (i.e. 1), so the
-bare commands work on the alternating R series.
+Exit codes: 0 success, 1 verification failure or tolerance not met, 2
+argument/constraint error.  Default colors are alpha = 1/2 (i.e. -1) and
+beta = 0/1 (i.e. 1), so the bare commands work on the alternating R series.
 """
 from __future__ import annotations
 
@@ -109,8 +109,6 @@ def cmd_decompose(args) -> int:
         return 0
     if args.format == "json":
         print(json.dumps({"terms": d.to_records()}))
-    elif args.format == "pretty":
-        print(" + ".join(t.text() for t in d.terms))
     else:
         print(d.to_text())
     return 0
@@ -119,8 +117,12 @@ def cmd_decompose(args) -> int:
 def cmd_eval(args) -> int:
     cfg = EvalConfig(tolerance=args.tol)
     d = decompose(MTIndex(args.p, args.q, args.r), args.alpha, args.beta)
-    print(_format_value(eval_decomposition(d, cfg)))
-    return 0
+    v = eval_decomposition(d, cfg)
+    print(_format_value(v))
+    if v.error_bound <= args.tol:
+        return 0
+    print(f"error: achieved bound {v.error_bound:.2g} exceeds --tol {args.tol:g}", file=sys.stderr)
+    return 1
 
 
 def cmd_oracle(args) -> int:

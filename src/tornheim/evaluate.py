@@ -58,6 +58,14 @@ Summation machinery, bottom up:
   sliding-window view of the m^-p table times the column n^-q (times
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
 
+Finished values combine by two rules only (u = eps/2, no over/underflow).
+ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
+4*eps*mass, mass = sum |c|*|v|: each c*v is within 2u of exact and fsum
+rounds their sum once, so roundoff stays below 3u*mass.  a*b adds
+|a|*e_b + |b|*e_a + e_a*e_b plus 2*eps*|ab| = 4u*|ab|, above the
+sqrt(5)*u*|ab| worst case of a complex product (Brent, Percival,
+Zimmermann, Math. Comp. 76 (2007)).
+
 Compensated summation: math.fsum (exactly rounded) combines all scalar
 series and the oracle's diagonal subtotals, in order.  The oracle sums the
 terms within a diagonal with numpy's own einsum loop, never BLAS, in an
@@ -71,10 +79,12 @@ Algorithms, 4.2).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum
+from numbers import Rational
 
 import numpy as np
 
@@ -126,6 +136,25 @@ class ValueWithError:
             raise ValueError("value must be finite")
         if not math.isfinite(b) or b < 0.0:
             raise ValueError("error bound must be finite and nonnegative")
+
+    @classmethod
+    def combine(cls, parts: Iterable[tuple[Rational, ValueWithError]]) -> ValueWithError:
+        """sum c*v over (rational c, v) pairs, fsum-combined in their order."""
+        re, im, eb = [], [], []
+        mass = 0.0
+        for c, v in parts:
+            re.append(c * v.value.real)
+            im.append(c * v.value.imag)
+            eb.append(abs(c) * v.error_bound)
+            mass += abs(c) * abs(v.value)
+        return cls(complex(fsum(re), fsum(im)), fsum(eb) + 4.0 * _EPS * mass)
+
+    def __mul__(self, other: ValueWithError) -> ValueWithError:
+        if not isinstance(other, ValueWithError):
+            return NotImplemented
+        a, b, ea, eb = self.value, other.value, self.error_bound, other.error_bound
+        ab = a * b
+        return ValueWithError(ab, abs(a) * eb + abs(b) * ea + ea * eb + 2.0 * _EPS * abs(ab))
 
 
 @dataclass(frozen=True)
@@ -508,17 +537,9 @@ def eval_mt_direct(
 
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:
     """Evaluate a decomposition term by term, combining in its term order."""
-    re, im, eb = [], [], []
-    mass = 0.0
-    for term in d.terms:
-        v = eval_li(term.s, term.t, term.x, term.y, cfg)
-        c = term.coefficient
-        re.append(c * v.value.real)
-        im.append(c * v.value.imag)
-        eb.append(c * v.error_bound)
-        mass += c * abs(v.value)
-    value = complex(fsum(re), fsum(im))
-    return ValueWithError(value, fsum(eb) + 4.0 * _EPS * mass)
+    return ValueWithError.combine(
+        (term.coefficient, eval_li(term.s, term.t, term.x, term.y, cfg)) for term in d.terms
+    )
 
 
 def zeta_const(s: int) -> ValueWithError:

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as pkg_files
+from itertools import chain, repeat
 
 from .algebra import MINUS_ONE, ONE, RootOfUnity
 from .decompose import EulerTerm, MTIndex, decompose, r_decomposition
@@ -28,7 +29,9 @@ from .evaluate import (
 )
 
 R212_PRINTED = -0.2402184755
+R212_CLOSED_FORM = "107/32*zeta(5) - 5/16*pi^2*zeta(3)"
 R212_DISPUTED_PRINTED = -0.0495972141
+R212_DISPUTED_FORM = "45/16*zeta(5) - 1/4*pi^2*zeta(3)"
 PRINTED_TOL = 5e-9
 
 
@@ -281,7 +284,7 @@ def verify_r212(cfg: EvalConfig = DEFAULT_CONFIG) -> list[Report]:
     )
 
     t0 = time.perf_counter()
-    closed = _vw_linear([(Fraction(107, 32), zeta_const(5)), (Fraction(-5, 16), _vw_mul(_vw_mul(pi_const(), pi_const()), zeta_const(3)))])
+    closed = eval_constants(_parse_constants(_Tokens(R212_CLOSED_FORM)))
     ms = (time.perf_counter() - t0) * 1000.0
     diff = abs(closed.value - oracle.value)
     reports.append(
@@ -297,7 +300,7 @@ def verify_r212(cfg: EvalConfig = DEFAULT_CONFIG) -> list[Report]:
     )
 
     t0 = time.perf_counter()
-    disputed = _vw_linear([(Fraction(45, 16), zeta_const(5)), (Fraction(-1, 4), _vw_mul(_vw_mul(pi_const(), pi_const()), zeta_const(3)))])
+    disputed = eval_constants(_parse_constants(_Tokens(R212_DISPUTED_FORM)))
     ms = (time.perf_counter() - t0) * 1000.0
     near_its_print = abs(disputed.value - R212_DISPUTED_PRINTED) < PRINTED_TOL
     gap = abs(disputed.value - oracle.value)
@@ -314,18 +317,6 @@ def verify_r212(cfg: EvalConfig = DEFAULT_CONFIG) -> list[Report]:
         )
     )
     return reports
-
-
-def _vw_mul(a: ValueWithError, b: ValueWithError) -> ValueWithError:
-    err = abs(a.value) * b.error_bound + abs(b.value) * a.error_bound + a.error_bound * b.error_bound
-    return ValueWithError(a.value * b.value, err + 2e-16 * abs(a.value * b.value))
-
-
-def _vw_linear(parts: list[tuple[Fraction, ValueWithError]]) -> ValueWithError:
-    value = sum(float(c) * v.value for c, v in parts)
-    err = sum(abs(float(c)) * v.error_bound for c, v in parts)
-    mass = sum(abs(float(c) * v.value) for c, v in parts)
-    return ValueWithError(value, err + 4e-16 * mass)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +439,20 @@ def _parse_term(toks: _Tokens, sign: int):
     return coeff, tuple(atoms)
 
 
+def _parse_constants(toks: _Tokens) -> tuple:
+    terms = []
+    while not terms or toks.peek()[1] in ("+", "-"):
+        sign = -1 if toks.peek()[1] == "-" else 1
+        if toks.peek()[1] in ("+", "-"):
+            toks.next()
+        terms.append(_parse_term(toks, sign))
+    return tuple(terms)
+
+
 def parse_relation(line: str) -> RelationSpec:
     """Parse one relation line; syntax errors carry the offending position."""
     toks = _Tokens(line)
-    terms = []
-    sign = 1
-    if toks.peek()[1] in "+-":
-        sign = -1 if toks.next()[1] == "-" else 1
-    terms.append(_parse_term(toks, sign))
-    while toks.peek()[1] in "+-":
-        sign = -1 if toks.next()[1] == "-" else 1
-        terms.append(_parse_term(toks, sign))
+    terms = _parse_constants(toks)
     kind, tok, pos = toks.next()
     if kind != "eq":
         raise RelationSyntaxError(f"expected '==', found {tok or 'end of line'!r}", pos)
@@ -499,7 +493,7 @@ def parse_relation(line: str) -> RelationSpec:
     if kind != "end":
         raise RelationSyntaxError(f"trailing input {tok!r}", pos)
     lhs_label = line.split("==")[0].strip()
-    return RelationSpec(lhs_label, tuple(terms), target)
+    return RelationSpec(lhs_label, terms, target)
 
 
 def load_relations(path: str | None = None) -> list[RelationSpec]:
@@ -516,33 +510,24 @@ def load_relations(path: str | None = None) -> list[RelationSpec]:
     return specs
 
 
-_ATOM_CACHE: dict[tuple[str, int], ValueWithError] = {}
-
-
-def _atom_value(atom: tuple[str, int]) -> ValueWithError:
-    got = _ATOM_CACHE.get(atom)
-    if got is None:
-        kind, arg = atom
-        if kind == "zeta":
-            got = zeta_const(arg)
-        else:
-            got = pi_const()
-            for _ in range(arg - 1):
-                got = _vw_mul(got, pi_const())
-        _ATOM_CACHE[atom] = got
-    return got
+def eval_constants(terms) -> ValueWithError:
+    """Sum of rational * product of zeta(s), pi^k atoms; no atoms is an exact 1."""
+    parts = []
+    for coeff, atoms in terms:
+        factors = chain.from_iterable(
+            [zeta_const(arg)] if kind == "zeta" else repeat(pi_const(), arg) for kind, arg in atoms
+        )
+        product = next(factors, ValueWithError(1.0, 0.0))
+        for factor in factors:
+            product = product * factor
+        parts.append((coeff, product))
+    return ValueWithError.combine(parts)
 
 
 def check_relation(spec: RelationSpec, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
     """Evaluate both sides; pass iff |lhs - rhs| < max(1e-8, combined bounds)."""
     t0 = time.perf_counter()
-    parts = []
-    for coeff, atoms in spec.terms:
-        acc = ValueWithError(1.0, 0.0)
-        for atom in atoms:
-            acc = _vw_mul(acc, _atom_value(atom))
-        parts.append((coeff, acc))
-    lhs = _vw_linear(parts)
+    lhs = eval_constants(spec.terms)
     if spec.target[0] == "mt":
         _, index, alpha, beta = spec.target
         rhs = eval_decomposition(decompose(index, alpha, beta), cfg)

@@ -63,9 +63,28 @@ def test_json_roundtrip_matches_eval_bit_for_bit(capsys):
 
 def test_eval_prints_paper_digits(capsys):
     assert run(["eval", "--p", "2", "--q", "1", "--r", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("-0.2402184755 ")
-    assert "±" in out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("-0.2402184755 ")
+    assert "±" in captured.out
+    assert captured.err == ""
+
+
+def test_eval_tolerance_miss_exits_1_and_prints_value(capsys):
+    # MT(10,10,10) asks each of its Li terms for the full tolerance, and
+    # the coefficients sum to C(20,10), so the combined bound misses 1e-10.
+    assert run(["eval", "--p", "10", "--q", "10", "--r", "10", "--tol", "1e-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("-0.0009765625 ± 2.1e-09")
+    assert captured.err.strip() == "error: achieved bound 2.1e-09 exceeds --tol 1e-10"
+
+
+def test_decompose_pretty_li_is_text(capsys):
+    base = ["decompose", "--p", "2", "--q", "1", "--r", "2", "--alpha", "1/4", "--beta", "1/3"]
+    assert run(base + ["--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert run(base + ["--format", "pretty"]) == 0
+    assert capsys.readouterr().out == text
+    assert text.startswith("Li[")
 
 
 def test_oracle_command(capsys):

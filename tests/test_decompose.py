@@ -11,13 +11,13 @@ from tornheim import (
     binomial,
     decompose,
     enumerate_indices,
-    expansion_terms,
     r_decomposition,
     root_inv,
     root_mul,
     s_decomposition,
     to_level2,
 )
+from tornheim.decompose import expansion_terms
 
 I = RootOfUnity(1, 4)
 W3 = RootOfUnity(1, 3)

@@ -20,14 +20,19 @@ from tornheim import (
     eval_decomposition,
     eval_li,
     eval_mt_direct,
-    hurwitz_tail,
-    oracle_tail_bound,
     pi_const,
-    tail_sum,
     zeta_const,
 )
 from tornheim import evaluate
-from tornheim.evaluate import MAX_ORACLE_CUTOFF, _hurwitz_row, _li_head, _li_once
+from tornheim.evaluate import (
+    MAX_ORACLE_CUTOFF,
+    _hurwitz_row,
+    _li_head,
+    _li_once,
+    hurwitz_tail,
+    oracle_tail_bound,
+    tail_sum,
+)
 
 I = RootOfUnity(1, 4)
 W3 = RootOfUnity(1, 3)
