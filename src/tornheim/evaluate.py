@@ -51,6 +51,8 @@ Summation machinery, bottom up:
   O(distinct (s, order, n0) x order) floats for the rows,
   O(distinct (e, n0) x n0) for the power tables, one entry per distinct
   (omega, xy, n0) rung, and one entry per distinct eval_li call.
+  tail_sum, eval_li and eval_mt_direct reject roots of order above
+  MAX_ROOT_ORDER = 2**16 before building anything sized by the order.
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
   truncated double sum of the defining series, with a color-independent
@@ -107,9 +109,10 @@ _BERNOULLI = {
     18: Fraction(43867, 798),
 }
 
-# Internal tails of the eval_li acceleration layer always run at the
-# highest stable order; the configured order governs the public tail_sum
-# default and the expansion depth of the outer tail.
+# Euler-Maclaurin orders of eval_li: the head's tail_sum and the outer
+# tail's expansion depth use _HEAD_ORDER; the acceleration ladder's
+# internal tails run at the highest stable order.
+_HEAD_ORDER = 8
 _LADDER_ORDER = 16
 
 # Diagonals per oracle row block; the block's window slice is 256 x k.
@@ -118,6 +121,19 @@ _ORACLE_BLOCK = 256
 # Largest oracle_cutoff accepted: the oracle's scratch memory grows as
 # O(cutoff) and its time as O(cutoff^2).
 MAX_ORACLE_CUTOFF = 2**20
+
+# Largest root order accepted by tail_sum, eval_li and eval_mt_direct: their
+# phase tables, Hurwitz rows and residue loops all have one entry per
+# residue class mod the order.
+MAX_ROOT_ORDER = 2**16
+
+
+def _check_root_orders(caller: str, **roots: RootOfUnity) -> None:
+    for name, root in roots.items():
+        if root.order > MAX_ROOT_ORDER:
+            raise ValueError(
+                f"{caller}: {name} = {root} has order {root.order} > MAX_ROOT_ORDER = 2**16"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,7 +180,6 @@ class EvalConfig:
     tolerance: float = 1e-10
     oracle_cutoff: int = 20000
     max_inner_terms: int = 200000
-    euler_maclaurin_order: int = 8
 
     def __post_init__(self) -> None:
         if not (1e-13 <= self.tolerance):
@@ -175,9 +190,6 @@ class EvalConfig:
             raise ValueError(f"oracle_cutoff must be <= 2**20 = {MAX_ORACLE_CUTOFF}")
         if not isinstance(self.max_inner_terms, int) or self.max_inner_terms < 1:
             raise ValueError("max_inner_terms must be a positive integer")
-        o = self.euler_maclaurin_order
-        if not isinstance(o, int) or o < 2 or o % 2 or o > 16:
-            raise ValueError("euler_maclaurin_order must be an even integer in 2..16")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -265,6 +277,7 @@ def _hurwitz_row(s: int, nn: int, n: int, order: int) -> tuple[tuple[float, ...]
 
 def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
     """T(s,x,n) = sum_{m>n} x^m / m^s via residue-class Hurwitz tails."""
+    _check_root_orders("tail_sum", x=x)
     if not isinstance(s, int) or s < 2:
         raise ValueError("tail_sum requires integer s >= 2")
     if not isinstance(n, int) or n < 0:
@@ -323,16 +336,14 @@ def _li_head(
     return complex(fsum(re.tolist()), fsum(im.tolist())), mass
 
 
-def _li_once(
-    s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, order: int
-) -> tuple[complex, float]:
+def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[complex, float]:
     nx, kx = x.order, x.exponent
     z = root_mul(x, y)
-    half = order // 2
+    half = _HEAD_ORDER // 2
     xv = _phases(nx)
 
     # Head: sum_{n<=n0} y^n n^(-t) T(s,x,n), T by reverse running sum.
-    t_at_n0 = tail_sum(s, x, n0, order)
+    t_at_n0 = tail_sum(s, x, n0, _HEAD_ORDER)
     head, mass_head = _li_head(t_at_n0.value, s, t, x, y, n0)
     # sum_{n<=n0} n^(-t) weights the per-n T error (EM bound plus the
     # running-sum roundoff, itself at most eps * sum |x^m m^-s|).
@@ -412,12 +423,14 @@ def eval_li(
     The returned bound is <= cfg.tolerance unless max_inner_terms capped the
     head length, in which case the bound reports what was actually achieved.
     A max_inner_terms below 2*ord(x)+1 is a ValueError: the tail's binomial
-    re-expansion needs a head longer than twice the order of x.
+    re-expansion needs a head longer than twice the order of x.  So is a
+    root x or y of order above MAX_ROOT_ORDER.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("eval_li requires integer s >= 2")
     if not isinstance(t, int) or t < 1:
         raise ValueError("eval_li requires integer t >= 1")
+    _check_root_orders("eval_li", x=x, y=y)
     if cfg.max_inner_terms < 2 * x.order + 1:
         raise ValueError(
             f"max_inner_terms = {cfg.max_inner_terms} is below 2*order+1 = {2 * x.order + 1}"
@@ -425,7 +438,7 @@ def eval_li(
         )
     n0 = min(cfg.max_inner_terms, max(128, 16 * x.order))
     while True:
-        value, bound = _li_once(s, t, x, y, n0, cfg.euler_maclaurin_order)
+        value, bound = _li_once(s, t, x, y, n0)
         if bound <= cfg.tolerance or n0 >= cfg.max_inner_terms:
             return ValueWithError(value, bound)
         n0 = min(2 * n0, cfg.max_inner_terms)
@@ -505,6 +518,7 @@ def eval_mt_direct(
     covers any summation order within a diagonal.  Scratch memory is
     O(cutoff), time O(cutoff^2).
     """
+    _check_root_orders("eval_mt_direct", alpha=alpha, beta=beta)
     p, q, r = index.p, index.q, index.r
     cut = cfg.oracle_cutoff
     if cut < 2:

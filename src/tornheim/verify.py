@@ -1,9 +1,13 @@
 """Verification harness: fixture table, cross-check grid, value disputes.
 
 Tolerance policy: symbolic checks are exact (term multisets with
-coefficients); numeric identity checks use the evaluators' combined
-rigorous bounds; comparisons against 10-digit printed decimals use 5e-9
-(half an ulp of the last printed digit, with margin).
+coefficients).  Two computed values agree iff |a - b| is at most the sum of
+their rigorous bounds, with no floor; _agreement is that one rule.
+Comparisons against 10-digit printed decimals use PRINTED_TOL = 5e-9 (half
+an ulp of the last printed digit, with margin).
+
+Fixture and relation lines share one tokenizer and one call syntax,
+NAME(int, ...[; root, root]), with roots read by RootOfUnity.parse.
 """
 from __future__ import annotations
 
@@ -65,6 +69,20 @@ class Report:
         }
 
 
+def _agreement(label: str, lhs: ValueWithError, rhs: ValueWithError, t0: float) -> Report:
+    """The numeric agreement rule: pass iff |lhs - rhs| <= the sum of both bounds."""
+    diff = abs(lhs.value - rhs.value)
+    bound = lhs.error_bound + rhs.error_bound
+    ms = (time.perf_counter() - t0) * 1000.0
+    return Report(label, diff <= bound, _cfmt(lhs.value), _cfmt(rhs.value), diff, bound, ms)
+
+
+def _cfmt(v: complex) -> str:
+    if abs(v.imag) < 1e-13:
+        return f"{v.real:.12g}"
+    return f"{v.real:.12g}{v.imag:+.12g}i"
+
+
 def reports_to_json(reports: list[Report]) -> str:
     return json.dumps([r.record() for r in reports], indent=2)
 
@@ -96,39 +114,28 @@ class Fixture:
                 raise ValueError(f"{self.label}: term {term.z_text()} breaks weight {w}")
 
 
-_FIXTURE_LABEL = re.compile(r"^R\((\d+),(\d+),(\d+)\)$")
-_Z_TERM = re.compile(r"^(?:(\d+)\*)?z\((-?\d+),(-?\d+)\)$")
-
-
 def parse_fixture_line(line: str) -> Fixture:
-    lhs, _, rhs = line.partition("=")
-    m = _FIXTURE_LABEL.match(lhs.strip())
-    if not m:
-        raise ValueError(f"bad fixture label {lhs.strip()!r}")
-    index = MTIndex(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    """Parse "R(p,q,r) = [c*]z(+-s,+-t) + ..."; syntax errors carry the position."""
+    toks = _Tokens(line)
+    index = _parse_call(toks, {"R": MTIndex})
+    toks.expect("=")
     terms = []
-    for chunk in rhs.split("+"):
-        tm = _Z_TERM.match(chunk.strip())
-        if not tm:
-            raise ValueError(f"bad fixture term {chunk.strip()!r}")
-        coeff = int(tm.group(1) or 1)
-        a, b = int(tm.group(2)), int(tm.group(3))
-        terms.append(EulerTerm(coeff, abs(a), abs(b), a < 0, b < 0))
-    return Fixture(lhs.strip(), index, tuple(terms))
+    while not terms or toks.peek()[1] == "+":
+        if terms:
+            toks.next()
+        coeff = 1
+        if toks.peek()[0] == "int":
+            coeff = toks.expect_int()
+            toks.expect("*")
+        terms.append(
+            _parse_call(toks, {"z": lambda a, b: EulerTerm(coeff, abs(a), abs(b), a < 0, b < 0)})
+        )
+    toks.expect_end()
+    return Fixture(f"R({index.p},{index.q},{index.r})", index, tuple(terms))
 
 
 def load_fixtures(path: str | None = None) -> list[Fixture]:
-    if path is None:
-        text = pkg_files("tornheim.data").joinpath("fixtures.txt").read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    fixtures = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            fixtures.append(parse_fixture_line(line))
-    return fixtures
+    return [parse_fixture_line(line) for line in _data_lines("fixtures.txt", path)]
 
 
 def _merge_euler(terms) -> dict[tuple, int]:
@@ -210,27 +217,9 @@ def cross_check_grid(
             t0 = time.perf_counter()
             oracle = eval_mt_direct(idx, alpha, beta, cfg)
             dec = eval_decomposition(decompose(idx, alpha, beta), cfg)
-            diff = abs(oracle.value - dec.value)
-            bound = oracle.error_bound + dec.error_bound
-            ms = (time.perf_counter() - t0) * 1000.0
-            reports.append(
-                Report(
-                    f"MT({idx.p},{idx.q},{idx.r};{alpha},{beta})",
-                    diff <= bound,
-                    _cfmt(oracle.value),
-                    _cfmt(dec.value),
-                    diff,
-                    bound,
-                    ms,
-                )
-            )
+            label = f"MT({idx.p},{idx.q},{idx.r};{alpha},{beta})"
+            reports.append(_agreement(label, oracle, dec, t0))
     return reports
-
-
-def _cfmt(v: complex) -> str:
-    if abs(v.imag) < 1e-13:
-        return f"{v.real:.12g}"
-    return f"{v.real:.12g}{v.imag:+.12g}i"
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +231,8 @@ def verify_r212(cfg: EvalConfig = DEFAULT_CONFIG) -> list[Report]:
 
     (i)   the direct double sum matches the printed -0.2402184755;
     (ii)  the decomposition evaluates to the oracle within combined bounds;
-    (iii) (107/32) zeta(5) - (5/16) pi^2 zeta(3) equals the oracle;
+    (iii) (107/32) zeta(5) - (5/16) pi^2 zeta(3) equals the decomposition's
+          value within combined bounds;
     (iv)  the previously published closed form (45/16) zeta(5)
           - (1/4) pi^2 zeta(3) reproduces its printed -0.0495972141 yet
           misses the actual value by more than 0.19.
@@ -268,36 +258,11 @@ def verify_r212(cfg: EvalConfig = DEFAULT_CONFIG) -> list[Report]:
 
     t0 = time.perf_counter()
     dec = eval_decomposition(decompose(idx, MINUS_ONE, ONE), cfg)
-    ms = (time.perf_counter() - t0) * 1000.0
-    diff = abs(dec.value - oracle.value)
-    bound = dec.error_bound + oracle.error_bound
-    reports.append(
-        Report(
-            "R(2,1,2) decomposition vs oracle",
-            diff <= bound,
-            _cfmt(dec.value),
-            _cfmt(oracle.value),
-            diff,
-            bound,
-            ms,
-        )
-    )
+    reports.append(_agreement("R(2,1,2) decomposition vs oracle", dec, oracle, t0))
 
     t0 = time.perf_counter()
     closed = eval_constants(_parse_constants(_Tokens(R212_CLOSED_FORM)))
-    ms = (time.perf_counter() - t0) * 1000.0
-    diff = abs(closed.value - oracle.value)
-    reports.append(
-        Report(
-            "R(2,1,2) closed form 107/32*z5 - 5/16*pi^2*z3",
-            diff < 1e-8,
-            _cfmt(closed.value),
-            _cfmt(oracle.value),
-            diff,
-            1e-8,
-            ms,
-        )
-    )
+    reports.append(_agreement("R(2,1,2) closed form 107/32*z5 - 5/16*pi^2*z3", closed, dec, t0))
 
     t0 = time.perf_counter()
     disputed = eval_constants(_parse_constants(_Tokens(R212_DISPUTED_FORM)))
@@ -320,10 +285,13 @@ def verify_r212(cfg: EvalConfig = DEFAULT_CONFIG) -> list[Report]:
 
 
 # ---------------------------------------------------------------------------
-# Relation specs: "<constants> == MT(...)|Li(...)" checked numerically.
+# Relation specs: "<constants> == MT(...)|Li(...)" checked numerically, and
+# the grammar they share with fixture lines.
 
 
 class RelationSyntaxError(ValueError):
+    """A syntax error in a relation or fixture line, at a position in the line."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -342,7 +310,7 @@ class RelationSpec:
     target: tuple
 
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z]+)|(==)|([()+\-*^,;/])|(\S)")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z]+)|(==|[()+\-*^,;/=])|(\S)")
 
 
 class _Tokens:
@@ -350,9 +318,9 @@ class _Tokens:
         self.text = text
         self.items = []
         for m in _TOKEN.finditer(text):
-            if m.group(5):
-                raise RelationSyntaxError(f"unexpected character {m.group(5)!r}", m.start())
-            kind = "int" if m.group(1) else "name" if m.group(2) else "eq" if m.group(3) else "sym"
+            if m.group(4):
+                raise RelationSyntaxError(f"unexpected character {m.group(4)!r}", m.start())
+            kind = "int" if m.group(1) else "name" if m.group(2) else "sym"
             self.items.append((kind, m.group(0), m.start()))
         self.pos = 0
 
@@ -369,11 +337,19 @@ class _Tokens:
         if tok != text:
             raise RelationSyntaxError(f"expected {text!r}, found {tok or 'end of line'!r}", pos)
 
-    def expect_int(self) -> int:
+    def expect_int(self, signed: bool = False) -> int:
+        if signed and self.peek()[1] == "-":
+            self.next()
+            return -self.expect_int()
         kind, tok, pos = self.next()
         if kind != "int":
             raise RelationSyntaxError(f"expected integer, found {tok or 'end of line'!r}", pos)
         return int(tok)
+
+    def expect_end(self) -> None:
+        kind, tok, pos = self.peek()
+        if kind != "end":
+            raise RelationSyntaxError(f"trailing input {tok!r}", pos)
 
 
 def _parse_rational(toks: _Tokens) -> Fraction:
@@ -385,27 +361,44 @@ def _parse_rational(toks: _Tokens) -> Fraction:
 
 
 def _parse_root(toks: _Tokens) -> RootOfUnity:
-    kind, tok, pos = toks.peek()
-    neg = False
-    if tok == "-":
+    """The text up to the next ',' or ')', read by RootOfUnity.parse."""
+    start = toks.peek()[2]
+    while toks.peek()[1] not in (",", ")", ""):
         toks.next()
-        neg = True
-        kind, tok, pos = toks.peek()
-    if kind == "name" and tok == "i":
-        toks.next()
-        return RootOfUnity(3, 4) if neg else RootOfUnity(1, 4)
-    if kind == "int":
-        k = toks.expect_int()
-        if toks.peek()[1] == "/":
-            toks.next()
-            n = toks.expect_int()
-            if n < 1:
-                raise RelationSyntaxError("root order must be positive", pos)
-            return RootOfUnity(-k if neg else k, n)
-        if k == 1:
-            return MINUS_ONE if neg else ONE
-        raise RelationSyntaxError(f"bare integer root must be 1 or -1, found {k}", pos)
-    raise RelationSyntaxError(f"expected root of unity, found {tok or 'end of line'!r}", pos)
+    try:
+        return RootOfUnity.parse(toks.text[start : toks.peek()[2]])
+    except ValueError as exc:
+        raise RelationSyntaxError(str(exc), start) from None
+
+
+# Call syntax NAME(int, ...[; root, root]): counts of integer and root arguments.
+_CALLS = {"R": (3, 0), "z": (2, 0), "MT": (3, 2), "Li": (2, 2)}
+
+
+def _parse_call(toks: _Tokens, build: dict):
+    """A call named by a key of build, e.g. MT(2,1,2;-1,1), returned as build[name](*args).
+
+    A ValueError from build becomes a RelationSyntaxError at the call's name.
+    """
+    kind, name, pos = toks.next()
+    if name not in build:
+        wanted = " or ".join(f"{n}(...)" for n in build)
+        raise RelationSyntaxError(f"expected {wanted}, found {name or 'end of line'!r}", pos)
+    n_ints, n_roots = _CALLS[name]
+    toks.expect("(")
+    args = []
+    for i in range(n_ints):
+        if i:
+            toks.expect(",")
+        args.append(toks.expect_int(signed=True))
+    for i in range(n_roots):
+        toks.expect(";" if i == 0 else ",")
+        args.append(_parse_root(toks))
+    toks.expect(")")
+    try:
+        return build[name](*args)
+    except ValueError as exc:
+        raise RelationSyntaxError(str(exc), pos) from None
 
 
 def _parse_factor(toks: _Tokens):
@@ -449,65 +442,38 @@ def _parse_constants(toks: _Tokens) -> tuple:
     return tuple(terms)
 
 
+def _li_target(s: int, t: int, x: RootOfUnity, y: RootOfUnity) -> tuple:
+    if s < 2 or t < 1:
+        raise ValueError("Li target needs s >= 2 and t >= 1")
+    return ("li", s, t, x, y)
+
+
 def parse_relation(line: str) -> RelationSpec:
     """Parse one relation line; syntax errors carry the offending position."""
     toks = _Tokens(line)
     terms = _parse_constants(toks)
-    kind, tok, pos = toks.next()
-    if kind != "eq":
-        raise RelationSyntaxError(f"expected '==', found {tok or 'end of line'!r}", pos)
-    kind, tok, pos = toks.next()
-    if tok == "MT":
-        toks.expect("(")
-        p = toks.expect_int()
-        toks.expect(",")
-        q = toks.expect_int()
-        toks.expect(",")
-        r = toks.expect_int()
-        toks.expect(";")
-        alpha = _parse_root(toks)
-        toks.expect(",")
-        beta = _parse_root(toks)
-        toks.expect(")")
-        try:
-            index = MTIndex(p, q, r)
-        except ValueError as exc:
-            raise RelationSyntaxError(str(exc), pos) from None
-        target = ("mt", index, alpha, beta)
-    elif tok == "Li":
-        toks.expect("(")
-        s = toks.expect_int()
-        toks.expect(",")
-        t = toks.expect_int()
-        toks.expect(";")
-        x = _parse_root(toks)
-        toks.expect(",")
-        y = _parse_root(toks)
-        toks.expect(")")
-        if s < 2 or t < 1:
-            raise RelationSyntaxError("Li target needs s >= 2 and t >= 1", pos)
-        target = ("li", s, t, x, y)
-    else:
-        raise RelationSyntaxError(f"expected MT(...) or Li(...), found {tok or 'end of line'!r}", pos)
-    kind, tok, pos = toks.peek()
-    if kind != "end":
-        raise RelationSyntaxError(f"trailing input {tok!r}", pos)
-    lhs_label = line.split("==")[0].strip()
-    return RelationSpec(lhs_label, terms, target)
+    eq_pos = toks.peek()[2]
+    toks.expect("==")
+    target = _parse_call(
+        toks, {"MT": lambda p, q, r, a, b: ("mt", MTIndex(p, q, r), a, b), "Li": _li_target}
+    )
+    toks.expect_end()
+    return RelationSpec(line[:eq_pos].strip(), terms, target)
 
 
 def load_relations(path: str | None = None) -> list[RelationSpec]:
+    return [parse_relation(line) for line in _data_lines("relations.txt", path)]
+
+
+def _data_lines(name: str, path: str | None) -> list[str]:
+    """Non-blank lines of a data file, '#' comments cut; path None reads the packaged name."""
     if path is None:
-        text = pkg_files("tornheim.data").joinpath("relations.txt").read_text(encoding="utf-8")
+        text = pkg_files("tornheim.data").joinpath(name).read_text(encoding="utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    specs = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            specs.append(parse_relation(line))
-    return specs
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
 
 
 def eval_constants(terms) -> ValueWithError:
@@ -525,7 +491,7 @@ def eval_constants(terms) -> ValueWithError:
 
 
 def check_relation(spec: RelationSpec, cfg: EvalConfig = DEFAULT_CONFIG) -> Report:
-    """Evaluate both sides; pass iff |lhs - rhs| < max(1e-8, combined bounds)."""
+    """Evaluate both sides; they must agree within their combined bounds."""
     t0 = time.perf_counter()
     lhs = eval_constants(spec.terms)
     if spec.target[0] == "mt":
@@ -536,15 +502,4 @@ def check_relation(spec: RelationSpec, cfg: EvalConfig = DEFAULT_CONFIG) -> Repo
         _, s, t, x, y = spec.target
         rhs = eval_li(s, t, x, y, cfg)
         rhs_label = f"Li({s},{t};{x},{y})"
-    diff = abs(lhs.value - rhs.value)
-    bound = max(1e-8, lhs.error_bound + rhs.error_bound)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return Report(
-        f"{spec.lhs_label} == {rhs_label}",
-        diff < bound,
-        _cfmt(lhs.value),
-        _cfmt(rhs.value),
-        diff,
-        bound,
-        ms,
-    )
+    return _agreement(f"{spec.lhs_label} == {rhs_label}", lhs, rhs, t0)

@@ -4,8 +4,8 @@
 
 Each data line holds one case and what the evaluator returned for it:
 
-    li s t x y tolerance em_order max_inner_terms value bound
-    mt p q r alpha beta tolerance em_order max_inner_terms value bound
+    li s t x y tolerance max_inner_terms value bound
+    mt p q r alpha beta tolerance max_inner_terms value bound
 
 Roots are "k/N"; value and bound are Python reprs.  tests/test_eval_pins.py
 recomputes every line and requires the same reprs, so any change to the
@@ -36,18 +36,17 @@ def primitive(n: int, near: int) -> RootOfUnity:
 def li_cases() -> list[tuple]:
     """One Li[s,t](x,y) per root order 1..24 of x, weights 3..20, plus extremes."""
     tols = (1e-10, 1e-10, 1e-13, 1e-6)
-    em_orders = (8, 8, 8, 4, 16)
     out = []
     for n in range(1, 25):
         w = 3 + (7 * n) % 18
         s = 2 + n % (w - 2)
         x = primitive(n, n // 2)
         y = primitive(Y_ORDERS[n % len(Y_ORDERS)], 3 * n)
-        out.append((s, w - s, x, y, tols[n % 4], em_orders[n % 5], 200000))
+        out.append((s, w - s, x, y, tols[n % 4], 200000))
     one = RootOfUnity(0, 1)
-    out.append((2, 1, one, one, 1e-13, 8, 200000))
-    out.append((2, 1, one, one, 1e-13, 8, 16))
-    out.append((19, 1, RootOfUnity(5, 24), RootOfUnity(7, 12), 1e-10, 8, 200000))
+    out.append((2, 1, one, one, 1e-13, 200000))
+    out.append((2, 1, one, one, 1e-13, 16))
+    out.append((19, 1, RootOfUnity(5, 24), RootOfUnity(7, 12), 1e-10, 200000))
     return out
 
 
@@ -66,14 +65,14 @@ def mt_cases() -> list[tuple]:
 def main() -> None:
     lines = [
         "# Exact eval_li / eval_decomposition results; see make_eval_pins.py.",
-        "# li s t x y tolerance em_order max_inner_terms value bound",
-        "# mt p q r alpha beta tolerance em_order max_inner_terms value bound",
+        "# li s t x y tolerance max_inner_terms value bound",
+        "# mt p q r alpha beta tolerance max_inner_terms value bound",
     ]
-    for s, t, x, y, tol, em, cap in li_cases():
-        cfg = EvalConfig(tolerance=tol, euler_maclaurin_order=em, max_inner_terms=cap)
+    for s, t, x, y, tol, cap in li_cases():
+        cfg = EvalConfig(tolerance=tol, max_inner_terms=cap)
         v = eval_li(s, t, x, y, cfg)
         lines.append(
-            f"li {s} {t} {x.as_fraction_str()} {y.as_fraction_str()} {tol!r} {em} {cap}"
+            f"li {s} {t} {x.as_fraction_str()} {y.as_fraction_str()} {tol!r} {cap}"
             f" {v.value!r} {v.error_bound!r}"
         )
     for (p, q, r), a, b, tol in mt_cases():
@@ -81,7 +80,7 @@ def main() -> None:
         v = eval_decomposition(decompose(MTIndex(p, q, r), a, b), cfg)
         lines.append(
             f"mt {p} {q} {r} {a.as_fraction_str()} {b.as_fraction_str()} {tol!r}"
-            f" {cfg.euler_maclaurin_order} {cfg.max_inner_terms} {v.value!r} {v.error_bound!r}"
+            f" {cfg.max_inner_terms} {v.value!r} {v.error_bound!r}"
         )
     OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

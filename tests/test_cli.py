@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,21 @@ def test_oracle_command(capsys):
 def test_oracle_cutoff_over_limit_exits_2(capsys):
     assert run(["oracle", "--p", "2", "--q", "1", "--r", "2", "--cutoff", "1000000000"]) == 2
     assert "oracle_cutoff must be <= 2**20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "eval"])
+def test_root_order_over_limit_exits_2(command, capsys):
+    # decompose is exact at any order; evaluating refuses before allocating.
+    argv = [command, "--p", "1", "--q", "1", "--r", "1", "--alpha", "1/1000000000000",
+            "--beta", "999999999999/1000000000000"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "MAX_ROOT_ORDER = 2**16" in capsys.readouterr().err
 
 
 def test_complex_colors(capsys):

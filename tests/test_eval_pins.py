@@ -26,11 +26,11 @@ def _cases() -> list[list[str]]:
 def _evaluate(fields: list[str]):
     kind, a, b, *rest = fields
     if kind == "li":
-        x, y, tol, em, cap = rest[:5]
-        cfg = EvalConfig(tolerance=float(tol), euler_maclaurin_order=int(em), max_inner_terms=int(cap))
+        x, y, tol, cap = rest[:4]
+        cfg = EvalConfig(tolerance=float(tol), max_inner_terms=int(cap))
         return eval_li(int(a), int(b), _root(x), _root(y), cfg)
-    c, alpha, beta, tol, em, cap = rest[:6]
-    cfg = EvalConfig(tolerance=float(tol), euler_maclaurin_order=int(em), max_inner_terms=int(cap))
+    c, alpha, beta, tol, cap = rest[:5]
+    cfg = EvalConfig(tolerance=float(tol), max_inner_terms=int(cap))
     return eval_decomposition(decompose(MTIndex(int(a), int(b), int(c)), _root(alpha), _root(beta)), cfg)
 
 

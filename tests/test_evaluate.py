@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tornheim import (
 from tornheim import evaluate
 from tornheim.evaluate import (
     MAX_ORACLE_CUTOFF,
+    MAX_ROOT_ORDER,
     _hurwitz_row,
     _li_head,
     _li_once,
@@ -182,8 +184,8 @@ class TestEvalLi:
 
     def test_bound_honesty_vs_doubled_head(self):
         for s, t, x, y in [(2, 1, ONE, ONE), (2, 1, MINUS_ONE, MINUS_ONE), (3, 2, I, W3)]:
-            v1, b1 = _li_once(s, t, x, y, 256, 8)
-            v2, b2 = _li_once(s, t, x, y, 512, 8)
+            v1, b1 = _li_once(s, t, x, y, 256)
+            v2, b2 = _li_once(s, t, x, y, 512)
             assert abs(v1 - v2) <= b1 + b2
             assert b1 > 0
 
@@ -481,16 +483,41 @@ class TestConfigAndValue:
         with pytest.raises(ValueError):
             EvalConfig(oracle_cutoff=0)
         with pytest.raises(ValueError):
-            EvalConfig(euler_maclaurin_order=7)
-        with pytest.raises(ValueError):
-            EvalConfig(euler_maclaurin_order=18)
-        with pytest.raises(ValueError):
             EvalConfig(max_inner_terms=0)
 
     def test_oracle_cutoff_limit(self):
         assert EvalConfig(oracle_cutoff=MAX_ORACLE_CUTOFF).oracle_cutoff == 2**20
         with pytest.raises(ValueError, match=r"2\*\*20"):
             EvalConfig(oracle_cutoff=MAX_ORACLE_CUTOFF + 1)
+
+    def test_root_order_limit_allocates_nothing(self):
+        # Order 10**12 would size phase tables, Hurwitz rows and head arrays
+        # at 10**12 entries; every evaluator refuses before building one.
+        huge = RootOfUnity(1, 10**12)
+        calls = [
+            lambda: tail_sum(3, huge, 5),
+            lambda: eval_li(2, 1, huge, ONE),
+            lambda: eval_li(2, 1, ONE, huge),
+            lambda: eval_mt_direct(MTIndex(2, 1, 2), huge, ONE),
+            lambda: eval_mt_direct(MTIndex(2, 1, 2), ONE, huge),
+        ]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(ValueError, match=r"MAX_ROOT_ORDER = 2\*\*16"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_root_order_limit_is_inclusive(self):
+        cfg = EvalConfig(oracle_cutoff=8)
+        v = eval_mt_direct(MTIndex(2, 1, 2), RootOfUnity(1, MAX_ROOT_ORDER), ONE, cfg)
+        assert math.isfinite(v.error_bound)
+        with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
+            eval_mt_direct(MTIndex(2, 1, 2), RootOfUnity(1, MAX_ROOT_ORDER + 1), ONE, cfg)
+        eval_li.cache_clear()
 
     def test_value_with_error_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from tornheim import (
     verify_fixtures,
     verify_r212,
 )
-from tornheim.verify import format_report_table, reports_to_json
+from tornheim.verify import format_report_table, parse_fixture_line, reports_to_json
 
 FAST = EvalConfig(oracle_cutoff=1200)
 
@@ -136,6 +136,18 @@ class TestR212:
         assert gap_report.absdiff > 0.19
         assert abs(gap_report.absdiff - 0.1906212614) < 1e-6
 
+    def test_closed_form_check_has_no_floor(self, monkeypatch):
+        # Off by 1e-9, far outside the closed form's and the decomposition's
+        # combined bounds (about 7e-14): check (iii) must fail.
+        import tornheim.verify as verify_mod
+
+        shifted = verify_mod.R212_CLOSED_FORM + " + 1/1000000000"
+        monkeypatch.setattr(verify_mod, "R212_CLOSED_FORM", shifted)
+        reports = verify_r212(EvalConfig(oracle_cutoff=6000))
+        assert [r.passed for r in reports] == [True, True, False, True]
+        assert abs(reports[2].absdiff - 1e-9) < 1e-12
+        assert reports[2].bound < 1e-12
+
 
 class TestRelations:
     def test_packaged_relations_pass(self):
@@ -148,6 +160,12 @@ class TestRelations:
         report = check_relation(spec, FAST)
         assert not report.passed
         assert abs(report.absdiff - 1.2771462307) < 1e-6
+
+    def test_relation_has_no_tolerance_floor(self):
+        report = check_relation(parse_relation("1*zeta(3) + 1/1000000000 == Li(2,1;1,1)"), FAST)
+        assert not report.passed
+        assert abs(report.absdiff - 1e-9) < 1e-12
+        assert report.bound < 1e-12
 
     def test_parse_structures(self):
         spec = parse_relation("107/32*zeta(5) - 5/16*pi^2*zeta(3) == MT(2,1,2;-1,1)")
@@ -164,24 +182,39 @@ class TestRelations:
         spec = parse_relation("1*zeta(3) == Li(2,1;i,1/3)")
         assert spec.target[3] == RootOfUnity(1, 4)
         assert spec.target[4] == RootOfUnity(1, 3)
+        # Roots are spelled as RootOfUnity.parse reads them, as on the CLI.
+        spec = parse_relation("1*zeta(3) == MT(2,1,2; -i , -1/3)")
+        assert spec.target[2:] == (RootOfUnity(3, 4), RootOfUnity(2, 3))
+
+    # (parse, line, position of the fault); relation and fixture lines share
+    # one grammar, so their errors carry positions alike.
+    SYNTAX_ERRORS = [
+        (parse_relation, "zeta(5) + == MT(2,1,2;-1,1)", 10),
+        (parse_relation, "1*zeta(5) = MT(2,1,2;-1,1)", 10),
+        (parse_relation, "1*zeta(5) == QT(2,1,2;-1,1)", 13),
+        (parse_relation, "1*zeta(5) == MT(2,1,2;-1,1) junk", 28),
+        (parse_relation, "1*zeta(1) == MT(2,1,2;-1,1)", 2),
+        (parse_relation, "1*zeta(5) == MT(1,0,1;-1,1)", 13),
+        (parse_relation, "1*zeta(5) == MT(2,1,2;3,1)", 22),
+        (parse_relation, "1*zeta(5) == MT(2,1,2;- i,1)", 22),
+        (parse_fixture_line, "R(2,1,2) = z(-3,-2) +", 21),
+        (parse_fixture_line, "Q(2,1,2) = z(3,2)", 0),
+        (parse_fixture_line, "R(2,1,2) = 2 z(3,2)", 13),
+        (parse_fixture_line, "R(2,1,2) z(3,2)", 9),
+        (parse_fixture_line, "R(1,0,1) = z(2,-1)", 0),
+        (parse_fixture_line, "R(2,1,2) = z(-3,-2) + 0*z(4,-1)", 24),
+        (parse_fixture_line, "R(2,1,2) = z(-3,-2) z(4,-1)", 20),
+        (parse_fixture_line, "R(2,1,2) = z(-3;-2)", 15),
+    ]
 
     @pytest.mark.parametrize(
-        "line",
-        [
-            "zeta(5) + == MT(2,1,2;-1,1)",
-            "1*zeta(5) = MT(2,1,2;-1,1)",
-            "1*zeta(5) == QT(2,1,2;-1,1)",
-            "1*zeta(5) == MT(2,1,2;-1,1) junk",
-            "1*zeta(1) == MT(2,1,2;-1,1)",
-            "1*zeta(5) == MT(1,0,1;-1,1)",
-            "1*zeta(5) == MT(2,1,2;3,1)",
-        ],
+        "parse, line, position", SYNTAX_ERRORS, ids=[line for _, line, _ in SYNTAX_ERRORS]
     )
-    def test_syntax_errors_carry_position(self, line):
+    def test_syntax_errors_carry_position(self, parse, line, position):
         with pytest.raises(RelationSyntaxError) as err:
-            parse_relation(line)
+            parse(line)
         assert "position" in str(err.value)
-        assert err.value.position >= 0
+        assert err.value.position == position
 
     def test_relation_file_roundtrip(self, tmp_path):
         path = tmp_path / "rel.txt"
