@@ -12,7 +12,7 @@ import time
 from tornheim import EvalConfig, cross_check_grid
 from tornheim.verify import format_report_table
 
-cfg = EvalConfig(tolerance=1e-8, oracle_cutoff=1000)
+cfg = EvalConfig(oracle_cutoff=1000)
 
 t0 = time.perf_counter()
 reports = cross_check_grid(5, [1, 2, 3, 4], cfg)

@@ -75,12 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--fixtures", default=None, help="fixture file (default: packaged table)")
     p_ver.add_argument("--grid-weight", type=int, default=7)
     p_ver.add_argument("--orders", type=_orders, default=[1, 2], help="comma list, e.g. 1,2,3,4")
-    p_ver.add_argument("--tol", type=float, default=1e-10)
     p_ver.add_argument("--json", default=None, help="also write structured reports to this path")
 
     p_rel = sub.add_parser("relation", help="check closed-form relation specs from a file")
     p_rel.add_argument("--file", default=None, help="relation file (default: packaged examples)")
-    p_rel.add_argument("--tol", type=float, default=1e-10)
 
     return parser
 
@@ -139,12 +137,12 @@ def cmd_verify(args) -> int:
     reports += fixture_reports
     print(f"fixtures: {sum(r.passed for r in fixture_reports)}/{len(fixture_reports)} pass")
 
-    r212_reports = verify_r212(EvalConfig(tolerance=args.tol))
+    r212_reports = verify_r212()
     reports += r212_reports
     for r in r212_reports:
         print(f"{r.status}: {r.label} (|diff| = {r.absdiff:.3g})")
 
-    grid_cfg = EvalConfig(tolerance=args.tol, oracle_cutoff=_GRID_ORACLE_CUTOFF)
+    grid_cfg = EvalConfig(oracle_cutoff=_GRID_ORACLE_CUTOFF)
     grid_reports = cross_check_grid(args.grid_weight, args.orders, grid_cfg)
     reports += grid_reports
     failures = [r for r in grid_reports if not r.passed]
@@ -165,8 +163,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_relation(args) -> int:
-    cfg = EvalConfig(tolerance=args.tol)
-    reports = [check_relation(spec, cfg) for spec in load_relations(args.file)]
+    reports = [check_relation(spec) for spec in load_relations(args.file)]
     print(format_report_table(reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -186,10 +183,7 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

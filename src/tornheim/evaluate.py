@@ -175,7 +175,8 @@ class ValueWithError:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation knobs; all values validated at construction."""
+    """Evaluation knobs, validated at construction.  tolerance is the
+    caller's target for a bound; no evaluator reads it."""
 
     tolerance: float = 1e-10
     oracle_cutoff: int = 20000
@@ -313,10 +314,10 @@ def _li_head(
     """sum_{n<=n0} y^n n^(-t) T(s,x,n) and its absolute mass, from T(s,x,n0).
 
     T(s,x,n) for n < n0 comes from a reverse running sum.  The arrays run
-    over n = n0..1 and spell each complex product out as CPython evaluates
-    it (a float f enters as f + 0j), and both running sums are sequential,
-    so every term is bit for bit that of the scalar loop
-    ``g = y**n * T * n**-t; T += x**n * n**-s``.
+    over n = n0..1 and both running sums are sequential, so every term is
+    that of the scalar loop ``g = y**n * T * n**-t; T += x**n * n**-s`` up
+    to the sign of a zero part, which np.hypot and fsum drop: the results
+    are bit for bit the loop's.
     """
     nx, kx = x.order, x.exponent
     ny, ky = y.order, y.exponent
@@ -324,14 +325,10 @@ def _li_head(
     xn = np.array(_phases(nx))[(kx * ns) % nx]
     yn = np.array(_phases(ny))[(ky * ns) % ny]
     fs, ft = _inv_powers(s, n0), _inv_powers(t, n0)
-    step_re = xn.real * fs - xn.imag * 0.0
-    step_im = xn.real * 0.0 + xn.imag * fs
-    t_re = np.add.accumulate(np.concatenate(([t_n0.real], step_re[:-1])))
-    t_im = np.add.accumulate(np.concatenate(([t_n0.imag], step_im[:-1])))
-    p_re = yn.real * t_re - yn.imag * t_im
-    p_im = yn.real * t_im + yn.imag * t_re
-    re = p_re * ft - p_im * 0.0
-    im = p_re * 0.0 + p_im * ft
+    t_re = np.add.accumulate(np.concatenate(([t_n0.real], (xn.real * fs)[:-1])))
+    t_im = np.add.accumulate(np.concatenate(([t_n0.imag], (xn.imag * fs)[:-1])))
+    re = (yn.real * t_re - yn.imag * t_im) * ft
+    im = (yn.real * t_im + yn.imag * t_re) * ft
     mass = float(np.add.accumulate(np.hypot(re, im))[-1])
     return complex(fsum(re.tolist()), fsum(im.tolist())), mass
 
@@ -418,10 +415,16 @@ def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[c
 def eval_li(
     s: int, t: int, x: RootOfUnity, y: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> ValueWithError:
-    """Li[s,t](x,y) = sum_{m>n>=1} x^m y^n / (m^s n^t) to cfg.tolerance.
+    """Li[s,t](x,y) = sum_{m>n>=1} x^m y^n / (m^s n^t); the caller checks the bound.
 
-    The returned bound is <= cfg.tolerance unless max_inner_terms capped the
-    head length, in which case the bound reports what was actually achieved.
+    One pass, head length n0 = min(max_inner_terms, max(128, 16*ord x)): a
+    longer head cannot lower the bound.  Its truncation parts are already
+    negligible (the j-series stops once its majorant is below 1e-18; the
+    head tail and the expansion remainder are Euler-Maclaurin terms of
+    relative size about 1e-16), and the roundoff allowance 8*eps*1.645*hsum
+    + 16*eps*mass_head + 32*eps*mass does not fall as n0 grows (for t = 1,
+    hsum = 1 + log n0 rises).
+
     A max_inner_terms below 2*ord(x)+1 is a ValueError: the tail's binomial
     re-expansion needs a head longer than twice the order of x.  So is a
     root x or y of order above MAX_ROOT_ORDER.
@@ -437,11 +440,7 @@ def eval_li(
             f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
         )
     n0 = min(cfg.max_inner_terms, max(128, 16 * x.order))
-    while True:
-        value, bound = _li_once(s, t, x, y, n0)
-        if bound <= cfg.tolerance or n0 >= cfg.max_inner_terms:
-            return ValueWithError(value, bound)
-        n0 = min(2 * n0, cfg.max_inner_terms)
+    return ValueWithError(*_li_once(s, t, x, y, n0))
 
 
 _LI_MEMOS = (_phases, _hurwitz_row, _ladder_tail, _inv_powers)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files as pkg_files
 from itertools import chain, repeat
+from pathlib import Path
 
 from .algebra import MINUS_ONE, ONE, RootOfUnity
 from .decompose import EulerTerm, MTIndex, decompose, r_decomposition
@@ -135,7 +136,7 @@ def parse_fixture_line(line: str) -> Fixture:
 
 
 def load_fixtures(path: str | None = None) -> list[Fixture]:
-    return [parse_fixture_line(line) for line in _data_lines("fixtures.txt", path)]
+    return _parse_data("fixtures.txt", path, parse_fixture_line)
 
 
 def _merge_euler(terms) -> dict[tuple, int]:
@@ -462,18 +463,23 @@ def parse_relation(line: str) -> RelationSpec:
 
 
 def load_relations(path: str | None = None) -> list[RelationSpec]:
-    return [parse_relation(line) for line in _data_lines("relations.txt", path)]
+    return _parse_data("relations.txt", path, parse_relation)
 
 
-def _data_lines(name: str, path: str | None) -> list[str]:
-    """Non-blank lines of a data file, '#' comments cut; path None reads the packaged name."""
-    if path is None:
-        text = pkg_files("tornheim.data").joinpath(name).read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [line for line in lines if line]
+def _parse_data(name: str, path: str | None, parse) -> list:
+    """parse applied to each non-blank line of a data file (path None: the packaged
+    name), '#' comments cut; an error gets the line's 1-based number in front."""
+    source = pkg_files("tornheim.data").joinpath(name) if path is None else Path(path)
+    out = []
+    for number, raw in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                out.append(parse(line))
+            except ValueError as exc:
+                exc.args = (f"line {number}: {exc}",)
+                raise
+    return out
 
 
 def eval_constants(terms) -> ValueWithError:

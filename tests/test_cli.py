@@ -154,9 +154,25 @@ def test_relation_command(tmp_path, capsys):
     assert "fail" in capsys.readouterr().out
 
     broken = tmp_path / "broken.txt"
-    broken.write_text("1*zeta(5) ==\n", encoding="utf-8")
+    broken.write_text("1*zeta(3) == Li(2,1;1,1)\n1*zeta(5) ==\n", encoding="utf-8")
     assert run(["relation", "--file", str(broken)]) == 2
-    assert "position" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and "position" in err
+
+
+def test_verify_bad_fixture_file_names_the_line(tmp_path, capsys):
+    bad = tmp_path / "fx.txt"
+    bad.write_text("R(1,1,3) = z(-4,-1) + z(4,-1)\n# comment\nR(2,1,2) = 2 z(3,2)\n", encoding="utf-8")
+    assert run(["verify", "--fixtures", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and "position 13" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "relation"])
+def test_tol_is_only_an_eval_option(command, capsys):
+    # No evaluator reads the tolerance; only eval compares it with a bound.
+    assert run([command, "--tol", "1e-10"]) == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_verify_small_grid(tmp_path, capsys):

@@ -196,7 +196,41 @@ class TestEvalLi:
         v = eval_li(2, 1, ONE, ONE, cfg)
         ref = eval_li(2, 1, ONE, ONE)
         assert abs(v.value - ref.value) <= v.error_bound + ref.error_bound
-        assert v.error_bound <= cfg.tolerance or cfg.max_inner_terms == 16
+        assert v != ref  # the cap took effect
+
+    def test_one_pass_per_miss(self, monkeypatch):
+        # A bound far above any tolerance must not buy a longer head: a
+        # longer one cannot lower the bound, so eval_li makes one pass.
+        calls = []
+
+        def loose(s, t, x, y, n0):
+            calls.append(n0)
+            return 0.5 + 0j, 1.0
+
+        monkeypatch.setattr(evaluate, "_li_once", loose)
+        eval_li.cache_clear()
+        v = eval_li(2, 1, ONE, ONE, EvalConfig(tolerance=1e-13))
+        eval_li.cache_clear()
+        assert calls == [128] and v == ValueWithError(0.5, 1.0)
+
+    def test_tolerance_changes_no_bit(self):
+        shapes = [(2, 1, ONE, ONE), (3, 2, I, W3), (10, 10, RootOfUnity(7, 12), MINUS_ONE), (19, 1, W3, I)]
+        for s, t, x, y in shapes:
+            tight = eval_li(s, t, x, y, EvalConfig(tolerance=1e-13))
+            loose = eval_li(s, t, x, y, EvalConfig(tolerance=1e-6))
+            assert (repr(tight.value), repr(tight.error_bound)) == (repr(loose.value), repr(loose.error_bound))
+
+    def test_conjugating_both_colors_conjugates_exactly(self):
+        roots = sorted({RootOfUnity(k, n) for n in (1, 2, 3, 4, 6, 8, 12) for k in range(n)},
+                       key=RootOfUnity.sort_key)
+        upper = [x for x in roots if 2 * x.exponent <= x.order]
+        for s, t in [(2, 1), (3, 2), (5, 1), (4, 4), (10, 10), (19, 1)]:
+            for x in upper:
+                for y in roots:
+                    v = eval_li(s, t, x, y)
+                    vc = eval_li(s, t, x.conjugate(), y.conjugate())
+                    # == is bit equality up to the sign of a zero part
+                    assert (vc.value, vc.error_bound) == (v.value.conjugate(), v.error_bound), (s, t, x, y)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

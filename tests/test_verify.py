@@ -216,6 +216,20 @@ class TestRelations:
         assert "position" in str(err.value)
         assert err.value.position == position
 
+    def test_file_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "fx.txt"
+        path.write_text("# header\n\nR(2,1,2) = 2 z(3,2)\n", encoding="utf-8")
+        with pytest.raises(RelationSyntaxError, match=r"^line 3: .*position 13") as err:
+            load_fixtures(str(path))
+        assert err.value.position == 13
+        path.write_text("R(1,1,3) = z(-4,-1)\nR(1,1,3) = z(-3,-1)\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 2: R\(1,1,3\): term z\(-3,-1\) breaks weight 5"):
+            load_fixtures(str(path))
+        path.write_text("1*zeta(3) == Li(2,1;1,1)\n\n\n1*zeta(5) ==\n", encoding="utf-8")
+        with pytest.raises(RelationSyntaxError, match=r"^line 4: .*position 12") as err:
+            load_relations(str(path))
+        assert err.value.position == 12
+
     def test_relation_file_roundtrip(self, tmp_path):
         path = tmp_path / "rel.txt"
         path.write_text("# c\n2*zeta(2) - 1*pi^2/dummy == Li(2,1;1,1)\n", encoding="utf-8")
