@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -28,9 +27,10 @@ class RootOfUnity:
             raise TypeError("exponent and order must be integers")
         if self.order < 1:
             raise ValueError("order must be a positive integer")
-        f = Fraction(self.exponent % self.order, self.order)
-        object.__setattr__(self, "exponent", f.numerator)
-        object.__setattr__(self, "order", f.denominator)
+        e = self.exponent % self.order
+        g = math.gcd(e, self.order)
+        object.__setattr__(self, "exponent", e // g)
+        object.__setattr__(self, "order", self.order // g)
 
     @classmethod
     def parse(cls, text: str) -> "RootOfUnity":
@@ -82,8 +82,7 @@ MINUS_ONE = RootOfUnity(1, 2)
 
 def root_mul(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
     """Product of two roots of unity (addition of angles mod 1)."""
-    f = Fraction(a.exponent, a.order) + Fraction(b.exponent, b.order)
-    return RootOfUnity(f.numerator, f.denominator)
+    return RootOfUnity(a.exponent * b.order + b.exponent * a.order, a.order * b.order)
 
 
 def root_inv(a: RootOfUnity) -> RootOfUnity:

@@ -36,21 +36,33 @@ Summation machinery, bottom up:
   again.  Plain truncation of the n-sum would need ~1e10 terms for the
   hardest weight-3 shapes at 1e-10; this route needs a few hundred.  The
   head needs n0 > 2*ord(x) for the re-expansion to converge, so eval_li
-  rejects a max_inner_terms below 2*ord(x)+1.
+  rejects a max_inner_terms below 2*ord(x)+1.  Which terms that
+  re-expansion runs, with their real weights and stopping majorants,
+  depends on (s, t, ord x, n0) but not on the colors: it is built once
+  per such key as a schedule of arrays, and each call runs it on its own
+  rungs and phases with the scalar loop's roundings.
 
 * Memos under eval_li: phase tables root_value(e/N) per order N, the
   Hurwitz rows above, the ladder tails tail_sum(omega, xy, n0) shared by
-  every shape and color pair with that product, and the n^-e tables of
-  the head.  They only skip recomputation; every value and bound is bit
-  for bit what the uncached arithmetic gives.  eval_li.cache_clear()
-  empties them together with eval_li's own cache, so a cleared process
-  recomputes everything a new one would (only the few dozen
-  Euler-Maclaurin coefficients stay), while eval_li.cache_info() counts
-  eval_li's own hits and misses.  hurwitz_tail and tail_sum themselves
-  stay uncached.  Memory grows with the distinct inputs seen:
-  O(distinct (s, order, n0) x order) floats for the rows,
-  O(distinct (e, n0) x n0) for the power tables, one entry per distinct
-  (omega, xy, n0) rung, and one entry per distinct eval_li call.
+  every shape and color pair with that product, the n^-e tables and the
+  root-power vectors root^n (n = n0..1, per root and n0) of the head,
+  whose first columns the tail reads as its phases, and the tail
+  schedules per (s, t, ord x, n0), shared by every color of that order.
+  eval_li's own cache is keyed on (s, t, x, y, n0): max_inner_terms,
+  through n0, is the only config field a value reads.  The memos only
+  skip recomputation; every value and bound is bit for bit what the
+  uncached arithmetic gives.  eval_li.cache_clear() empties them
+  together with eval_li's own cache, so a cleared process recomputes
+  everything a new one would (only the few dozen Euler-Maclaurin
+  coefficients stay), while eval_li.cache_info() counts eval_li's own
+  hits and misses.  hurwitz_tail and tail_sum themselves stay uncached.
+  Memory grows with the distinct inputs seen: O(distinct (s, order, n0)
+  x order) floats for the rows, O(distinct (e, n0) x n0) for the power
+  tables, O(distinct (root, n0) x n0) for the root powers, one entry per
+  distinct (omega, xy, n0) rung, 2 floats and 3 small integers per
+  j-series term of each distinct schedule, and one entry per distinct
+  eval_li call.  One pass of the benchmark's eval workload holds about
+  3.5 MB of schedules (1246 of them) and 0.2 MB of root powers.
   tail_sum, eval_li and eval_mt_direct reject roots of order above
   MAX_ROOT_ORDER = 2**16 before building anything sized by the order.
 
@@ -239,9 +251,9 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
         raise ValueError("hurwitz_tail requires integer s >= 2")
     if not (w > 0.0):
         raise ValueError("hurwitz_tail requires w > 0")
-    if s >= 30:
-        return _hurwitz_direct(s, w)
     betas, bhat, a_min = _em_params(s, order // 2)
+    if s >= 30 and w < a_min:
+        return _hurwitz_direct(s, w)
     extra = int(max(0.0, math.ceil(a_min - w)))
     head = fsum((w + j) ** -s for j in range(extra)) if extra else 0.0
     a = w + extra
@@ -308,6 +320,19 @@ def _inv_powers(e: int, n0: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _root_powers(root: RootOfUnity, n0: int) -> np.ndarray:
+    """Rows real and imaginary part of root^n for n = n0, n0-1, ..., 1.
+
+    Column n0 - c is root^c, the phase the tail reads for residue c < n0.
+    """
+    nn = root.order
+    powers = np.array(_phases(nn))[(root.exponent * np.arange(n0, 0, -1)) % nn]
+    table = np.array([powers.real, powers.imag])
+    table.flags.writeable = False
+    return table
+
+
 def _li_head(
     t_n0: complex, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int
 ) -> tuple[complex, float]:
@@ -319,71 +344,65 @@ def _li_head(
     to the sign of a zero part, which np.hypot and fsum drop: the results
     are bit for bit the loop's.
     """
-    nx, kx = x.order, x.exponent
-    ny, ky = y.order, y.exponent
-    ns = np.arange(n0, 0, -1)
-    xn = np.array(_phases(nx))[(kx * ns) % nx]
-    yn = np.array(_phases(ny))[(ky * ns) % ny]
+    xp, yp = _root_powers(x, n0), _root_powers(y, n0)
     fs, ft = _inv_powers(s, n0), _inv_powers(t, n0)
-    t_re = np.add.accumulate(np.concatenate(([t_n0.real], (xn.real * fs)[:-1])))
-    t_im = np.add.accumulate(np.concatenate(([t_n0.imag], (xn.imag * fs)[:-1])))
-    re = (yn.real * t_re - yn.imag * t_im) * ft
-    im = (yn.real * t_im + yn.imag * t_re) * ft
+    tn = np.empty((2, n0))  # rows real and imaginary part of T(s,x,n)
+    tn[:, 0] = t_n0.real, t_n0.imag
+    np.multiply(xp[:, :-1], fs[:-1], out=tn[:, 1:])
+    tn = np.add.accumulate(tn, axis=1)
+    a, b = yp * tn, yp * tn[::-1]
+    re = (a[0] - a[1]) * ft
+    im = (b[0] + b[1]) * ft
     mass = float(np.add.accumulate(np.hypot(re, im))[-1])
     return complex(fsum(re.tolist()), fsum(im.tolist())), mass
 
 
-def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[complex, float]:
-    nx, kx = x.order, x.exponent
-    z = root_mul(x, y)
+@lru_cache(maxsize=None)
+def _tail_schedule(
+    s: int, t: int, nx: int, n0: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The tail's j-series for a root x of order nx, without its colors.
+
+    Expanding T's Hurwitz pieces asymptotically, then (n+c)^(-sigma)
+    binomially around n, lands every term on a single tail of weight
+    omega = t + sigma + j in the combined color z = x*y.  Which (sigma, c,
+    j) terms run, their real weights and the geometric majorant that stops
+    each series depend on (s, t, ord x, n0) only, so the loop below runs
+    once per key and records, in loop order:
+
+    * the rungs omega it reads, sorted;
+    * the signed prefactors: 0.0, then pref*sign = +pref, -pref for each
+      sigma;
+    * a float block of rows cj*binom (the weight of the rung value) and
+      apref*cj*binom (the weight of the rung's bound);
+    * an index block, of the narrowest unsigned type that holds n0 and the
+      rung count, with rows rung index, n0 - c (the position of x^c in the
+      head's _root_powers(x, n0)) and signed prefactor index (the weight
+      of x^c times the weighted rung).
+
+    Each stopping majorant rides as one more entry on a sentinel rung
+    (index 0) with value 0 and bound 1.0: its bound weight is the majorant,
+    and its zero term changes neither fsum nor the running mass.
+    """
     half = _HEAD_ORDER // 2
-    xv = _phases(nx)
-
-    # Head: sum_{n<=n0} y^n n^(-t) T(s,x,n), T by reverse running sum.
-    t_at_n0 = tail_sum(s, x, n0, _HEAD_ORDER)
-    head, mass_head = _li_head(t_at_n0.value, s, t, x, y, n0)
-    # sum_{n<=n0} n^(-t) weights the per-n T error (EM bound plus the
-    # running-sum roundoff, itself at most eps * sum |x^m m^-s|).
-    hsum = 1.0 + math.log(n0) if t == 1 else 1.6449340668482266
-    bound = (t_at_n0.error_bound + 8.0 * _EPS * 1.645) * hsum + 16.0 * _EPS * mass_head
-
-    # Tail: expand T's Hurwitz pieces asymptotically, then (n+c)^(-sigma)
-    # binomially around n; everything lands on single tails of weight
-    # omega = t + sigma + j in the combined color z = x*y.
-    betas, bhat, _ = _em_params(s, half)
+    betas, _, _ = _em_params(s, half)
     sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
     sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
-
-    lam: dict[int, ValueWithError] = {}
-
-    def lam_at(omega: int) -> ValueWithError:
-        got = lam.get(omega)
-        if got is None:
-            got = lam[omega] = _ladder_tail(omega, z, n0)
-        return got
-
+    prefs = [0.0]
+    terms = []  # (omega, n0 - c, prefs index, cj*binom, apref*cj*binom); omega 0 is the sentinel
     nf = float(n0)
-    tre, tim = [], []
-    mass_tail = 0.0
     for sigma, coef in sigmas:
         pref = coef * float(nx) ** (sigma - s)
         apref = abs(pref)
+        k = len(prefs)
+        prefs += [pref, -pref]  # pref*sign for even and odd j
         for c in range(1, nx + 1):
-            xc = xv[(kx * c) % nx]
             cj = 1.0  # c^j
             binom = 1.0  # C(sigma+j-1, j)
-            sign = 1.0
             j = 0
             while True:
-                lv = lam_at(t + sigma + j)
-                u = (cj * binom) * lv.value
-                g = (pref * sign) * (xc * u)
-                tre.append(g.real)
-                tim.append(g.imag)
-                mass_tail += abs(g)
-                bound += apref * cj * binom * lv.error_bound
+                terms.append((t + sigma + j, n0 - c, k + j % 2, cj * binom, apref * cj * binom))
                 j += 1
-                sign = -sign
                 binom *= (sigma + j - 1) / j
                 cj *= c
                 # Geometric majorant on the rest of the j-series; the term
@@ -395,15 +414,70 @@ def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[c
                 major = apref * binom * lam_cap / (omega - 1)
                 ratio = (sigma + j) / (j + 1) * (c / nf)
                 if ratio < 0.5 and major / (1.0 - ratio) < 1e-18:
-                    bound += major / (1.0 - ratio)
+                    terms.append((0, 0, 0, 0.0, major / (1.0 - ratio)))
                     break
                 if j > 2000:
                     raise RuntimeError("binomial re-expansion failed to converge")
-    tail = complex(fsum(tre), fsum(tim))
+    rungs, pos, signed, *weights = zip(*terms)
+    omegas = sorted(set(rungs) - {0})
+    index = {omega: i for i, omega in enumerate([0, *omegas])}
+    prefs, weights = np.array(prefs), np.array(weights)
+    where = np.array(
+        [[index[omega] for omega in rungs], pos, signed], dtype=np.min_scalar_type(max(n0, len(index)))
+    )
+    prefs.flags.writeable = weights.flags.writeable = where.flags.writeable = False
+    return tuple(omegas), prefs, weights, where
+
+
+def _li_tail(
+    s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, bound: float
+) -> tuple[complex, float, float]:
+    """The tail sum_{n>n0}, its absolute mass, and bound plus its increments.
+
+    Runs _tail_schedule(s, t, ord x, n0) on this call's rungs and phases.
+    The products spell out CPython's: u = (cj*binom)*lam and g =
+    (pref*sign)*(x^c*u) drop only cross terms with a zero factor, which
+    changes at most the sign of a zero part.  fsum does not depend on
+    the order of its terms, and the bound and mass accumulate in loop
+    order, so the results are bit for bit those of the scalar j-loop.
+    """
+    omegas, prefs, (wu, wb), (rung, pos, signed) = _tail_schedule(s, t, x.order, n0)
+    z = root_mul(x, y)
+    lams = [_ladder_tail(omega, z, n0) for omega in omegas]
+    # Rows real part, imaginary part and bound: the sentinel, then each rung.
+    lam = np.array([(0.0, 0.0, 1.0), *((v.value.real, v.value.imag, v.error_bound) for v in lams)])
+    lam = lam.T.take(rung, axis=1)
+    xc = _root_powers(x, n0).take(pos, axis=1)
+    u = wu * lam[:2]
+    a, b = xc * u, xc * u[::-1]
+    wg = prefs.take(signed)
+    re = wg * (a[0] - a[1])
+    im = wg * (b[0] + b[1])
+    mass = float(np.add.accumulate(np.hypot(re, im))[-1])
+    incs = np.empty(len(wb) + 1)  # the bound so far, then this tail's increments
+    incs[0] = bound
+    np.multiply(wb, lam[2], out=incs[1:])
+    bound = float(np.add.accumulate(incs)[-1])
+    return complex(fsum(re.tolist()), fsum(im.tolist())), mass, bound
+
+
+def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[complex, float]:
+    half = _HEAD_ORDER // 2
+
+    # Head: sum_{n<=n0} y^n n^(-t) T(s,x,n), T by reverse running sum.
+    t_at_n0 = tail_sum(s, x, n0, _HEAD_ORDER)
+    head, mass_head = _li_head(t_at_n0.value, s, t, x, y, n0)
+    # sum_{n<=n0} n^(-t) weights the per-n T error (EM bound plus the
+    # running-sum roundoff, itself at most eps * sum |x^m m^-s|).
+    hsum = 1.0 + math.log(n0) if t == 1 else 1.6449340668482266
+    bound = (t_at_n0.error_bound + 8.0 * _EPS * 1.645) * hsum + 16.0 * _EPS * mass_head
+
+    tail, mass_tail, bound = _li_tail(s, t, x, y, n0, bound)
 
     # Remainder of the asymptotic expansion of H inside T, summed over n>n0.
+    _, bhat, _ = _em_params(s, half)
     bound += (
-        float(nx) ** (2 * half + 2) * bhat * nf ** -(t + s + 2 * half) / (t + s + 2 * half)
+        float(x.order) ** (2 * half + 2) * bhat * float(n0) ** -(t + s + 2 * half) / (t + s + 2 * half)
     )
 
     value = head + tail
@@ -412,6 +486,11 @@ def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[c
 
 
 @lru_cache(maxsize=None)
+def _li_value(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> ValueWithError:
+    """eval_li's cache, keyed on n0, the one part of the config a value reads."""
+    return ValueWithError(*_li_once(s, t, x, y, n0))
+
+
 def eval_li(
     s: int, t: int, x: RootOfUnity, y: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> ValueWithError:
@@ -440,20 +519,19 @@ def eval_li(
             f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
         )
     n0 = min(cfg.max_inner_terms, max(128, 16 * x.order))
-    return ValueWithError(*_li_once(s, t, x, y, n0))
+    return _li_value(s, t, x, y, n0)
 
 
-_LI_MEMOS = (_phases, _hurwitz_row, _ladder_tail, _inv_powers)
-_eval_li_cache_clear = eval_li.cache_clear
+_LI_MEMOS = (_li_value, _phases, _hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
 
 
 def _clear_li_caches() -> None:
     """Empty eval_li's cache together with every private memo under it."""
-    _eval_li_cache_clear()
     for memo in _LI_MEMOS:
         memo.cache_clear()
 
 
+eval_li.cache_info = _li_value.cache_info
 eval_li.cache_clear = _clear_li_caches
 
 

@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tornheim import (
     MINUS_ONE,
@@ -15,6 +18,17 @@ from tornheim import (
 
 def all_roots(max_order):
     return [RootOfUnity(k, n) for n in range(1, max_order + 1) for k in range(n)]
+
+
+SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+exponents = st.integers(-(10**40), 10**40) | st.integers(-50, 50)
+orders = st.integers(1, 10**40) | st.integers(1, 50)
+
+
+def fraction_reduced(e, n):
+    """The canonical pair as exact rational arithmetic gives it."""
+    f = Fraction(e % n, n)
+    return f.numerator, f.denominator
 
 
 class TestRootOfUnity:
@@ -82,6 +96,36 @@ class TestRootOfUnity:
         for a in all_roots(9):
             assert RootOfUnity.parse(str(a)) == a
             assert RootOfUnity.parse(a.as_fraction_str()) == a
+
+    @SETTINGS
+    @given(exponents, orders)
+    @example(0, 1)
+    @example(-5, 1)
+    @example(0, 10**30)
+    @example(-(10**30), 10**20)
+    @example(-1, 12)
+    def test_reduction_equals_fraction_reduction(self, e, n):
+        r = RootOfUnity(e, n)
+        assert (r.exponent, r.order) == fraction_reduced(e, n)
+
+    @SETTINGS
+    @given(exponents, orders, exponents, orders)
+    @example(0, 1, 0, 1)
+    @example(1, 2, 1, 2)
+    @example(-3, 10**25, 7, 1)
+    def test_mul_equals_fraction_sum(self, e1, n1, e2, n2):
+        a, b = RootOfUnity(e1, n1), RootOfUnity(e2, n2)
+        f = Fraction(a.exponent, a.order) + Fraction(b.exponent, b.order)
+        c = root_mul(a, b)
+        assert (c.exponent, c.order) == fraction_reduced(f.numerator, f.denominator)
+
+    def test_rejects_bad_types(self):
+        for e, n in [(1.0, 2), (1, 2.0), ("1", 2), (None, 3), (Fraction(1, 2), 4)]:
+            with pytest.raises(TypeError, match="exponent and order must be integers"):
+                RootOfUnity(e, n)
+        for n in [0, -1, -(10**30)]:
+            with pytest.raises(ValueError, match="order must be a positive integer"):
+                RootOfUnity(1, n)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

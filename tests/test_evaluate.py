@@ -17,20 +17,26 @@ from tornheim import (
     MTIndex,
     RootOfUnity,
     ValueWithError,
+    cross_check_grid,
     decompose,
     eval_decomposition,
     eval_li,
     eval_mt_direct,
     pi_const,
+    root_mul,
+    verify_r212,
     zeta_const,
 )
 from tornheim import evaluate
 from tornheim.evaluate import (
     MAX_ORACLE_CUTOFF,
     MAX_ROOT_ORDER,
+    _hurwitz_direct,
     _hurwitz_row,
     _li_head,
     _li_once,
+    _li_tail,
+    _tail_schedule,
     hurwitz_tail,
     oracle_tail_bound,
     tail_sum,
@@ -66,6 +72,21 @@ class TestHurwitz:
         ref = float(scipy.special.zeta(35, 2.5))
         assert abs(val - ref) <= 1e-13 * abs(ref)
         assert bound >= 0
+
+    @pytest.mark.parametrize("s", [30, 35, 40, 60])
+    def test_large_s_routes_by_w(self, s, monkeypatch):
+        # From s = 30 on, w below the Euler-Maclaurin start a_min is summed
+        # directly; at or above it the expansion starts at w itself.
+        a_min = evaluate._em_params(s, 4)[2]
+        direct = []
+        monkeypatch.setattr(evaluate, "_hurwitz_direct", lambda s, w: direct.append(w) or _hurwitz_direct(s, w))
+        for w in (a_min, 1000.0, 1e6):
+            em, em_bound = hurwitz_tail(s, w)
+            ref, ref_bound = _hurwitz_direct(s, w)
+            assert abs(em - ref) <= em_bound + ref_bound
+        assert direct == []
+        hurwitz_tail(s, 0.999 * a_min)
+        assert direct == [0.999 * a_min]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -216,7 +237,10 @@ class TestEvalLi:
     def test_tolerance_changes_no_bit(self):
         shapes = [(2, 1, ONE, ONE), (3, 2, I, W3), (10, 10, RootOfUnity(7, 12), MINUS_ONE), (19, 1, W3, I)]
         for s, t, x, y in shapes:
+            # Cleared in between: the two configs share one cache entry.
+            eval_li.cache_clear()
             tight = eval_li(s, t, x, y, EvalConfig(tolerance=1e-13))
+            eval_li.cache_clear()
             loose = eval_li(s, t, x, y, EvalConfig(tolerance=1e-6))
             assert (repr(tight.value), repr(tight.error_bound)) == (repr(loose.value), repr(loose.error_bound))
 
@@ -296,6 +320,30 @@ class TestLiMemos:
         info = eval_li.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
+    def test_cache_is_keyed_on_the_head_length(self):
+        # eval_li reads only max_inner_terms, through n0, so configs that
+        # differ elsewhere (or in a cap above n0) share entries.
+        eval_li.cache_clear()
+        v = eval_li(3, 2, I, W3)
+        for cfg in [EvalConfig(tolerance=1e-6), EvalConfig(oracle_cutoff=7), EvalConfig(max_inner_terms=128)]:
+            assert eval_li(3, 2, I, W3, cfg) is v
+        assert eval_li(3, 2, I, W3, EvalConfig(max_inner_terms=127)) is not v
+        info = eval_li.cache_info()
+        assert (info.hits, info.misses) == (3, 2)
+        eval_li.cache_clear()
+        verify_r212()
+        cross_check_grid(7, [1, 2], EvalConfig(oracle_cutoff=2000))
+        assert eval_li.cache_info().misses == 60
+
+    def test_colors_of_one_order_share_a_tail_schedule(self):
+        eval_li.cache_clear()
+        eval_li(3, 2, RootOfUnity(1, 8), W3)
+        first = _tail_schedule.cache_info()
+        eval_li(3, 2, RootOfUnity(3, 8), I)
+        second = _tail_schedule.cache_info()
+        assert (first.currsize, first.misses) == (second.currsize, second.misses) == (1, 1)
+        assert second.hits == first.hits + 1
+
     def test_roots_of_one_order_share_a_hurwitz_row(self, monkeypatch):
         calls = []
 
@@ -331,8 +379,9 @@ class TestLiMemos:
         for s, t, x, y in shapes:
             eval_li(s, t, x.conjugate(), y)
             eval_li(s + 1, t, x, y.conjugate())
-        warm = [eval_li.__wrapped__(*shape) for shape in shapes]
-        assert [(repr(v.value), repr(v.error_bound)) for v in warm] == [
+        # An uncached pass at eval_li's default head length, on warm memos.
+        warm = [_li_once(s, t, x, y, max(128, 16 * x.order)) for s, t, x, y in shapes]
+        assert [(repr(v), repr(b)) for v, b in warm] == [
             (repr(v.value), repr(v.error_bound)) for v in cold
         ]
 
@@ -352,6 +401,79 @@ class TestLiMemos:
         head, mass = _li_head(t_n0, s, t, x, y, n0)
         ref_head, ref_mass = _scalar_head(t_n0, s, t, x, y, n0)
         assert repr(head) == repr(ref_head) and repr(mass) == repr(ref_mass)
+
+
+def _scalar_tail(s, t, x, y, n0, bound):
+    """The tail's j-series as one plain scalar loop, the reference for _li_tail."""
+    nx, kx = x.order, x.exponent
+    z = root_mul(x, y)
+    half = evaluate._HEAD_ORDER // 2
+    xv = evaluate._phases(nx)
+    betas, bhat, _ = evaluate._em_params(s, half)
+    sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
+    sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
+
+    lam = {}
+
+    def lam_at(omega):
+        got = lam.get(omega)
+        if got is None:
+            got = lam[omega] = evaluate._ladder_tail(omega, z, n0)
+        return got
+
+    nf = float(n0)
+    tre, tim = [], []
+    mass_tail = 0.0
+    for sigma, coef in sigmas:
+        pref = coef * float(nx) ** (sigma - s)
+        apref = abs(pref)
+        for c in range(1, nx + 1):
+            xc = xv[(kx * c) % nx]
+            cj = 1.0  # c^j
+            binom = 1.0  # C(sigma+j-1, j)
+            sign = 1.0
+            j = 0
+            while True:
+                lv = lam_at(t + sigma + j)
+                u = (cj * binom) * lv.value
+                g = (pref * sign) * (xc * u)
+                tre.append(g.real)
+                tim.append(g.imag)
+                mass_tail += abs(g)
+                bound += apref * cj * binom * lv.error_bound
+                j += 1
+                sign = -sign
+                binom *= (sigma + j - 1) / j
+                cj *= c
+                omega = t + sigma + j
+                lam_cap = cj * nf ** (1 - omega)
+                if lam_cap == 0.0:
+                    break
+                major = apref * binom * lam_cap / (omega - 1)
+                ratio = (sigma + j) / (j + 1) * (c / nf)
+                if ratio < 0.5 and major / (1.0 - ratio) < 1e-18:
+                    bound += major / (1.0 - ratio)
+                    break
+                if j > 2000:
+                    raise RuntimeError("binomial re-expansion failed to converge")
+    return complex(math.fsum(tre), math.fsum(tim)), mass_tail, bound
+
+
+class TestArrayTail:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 12, 24])
+    def test_array_tail_equals_scalar_loop(self, order):
+        # Every root x of the order, at the default head length and at the
+        # cap 2*order+1, whose j-series are the longest.  The starting bound
+        # is a head bound's size, so the order of the additions shows.
+        xs = [RootOfUnity(k, order) for k in range(order) if math.gcd(k, order) == 1]
+        ys = [ONE, I, RootOfUnity(7, 24)]
+        for n0 in (max(128, 16 * order), 2 * order + 1):
+            for s, t in [(2, 1), (3, 2), (5, 1), (4, 4), (10, 10), (19, 1)]:
+                for x in xs:
+                    for y in ys:
+                        got = _li_tail(s, t, x, y, n0, 3.1e-15)
+                        ref = _scalar_tail(s, t, x, y, n0, 3.1e-15)
+                        assert repr(got) == repr(ref), (s, t, x, y, n0)
 
 
 class TestOracle:
