@@ -96,10 +96,8 @@ def cmd_decompose(args) -> int:
     if args.notation == "bar":
         terms = to_level2(d)
         if args.format == "json":
-            print(json.dumps({"terms": [
-                {"coeff": t.coefficient, "s": -t.s if t.s_bar else t.s, "t": -t.t if t.t_bar else t.t}
-                for t in terms
-            ]}))
+            signed = [(t.coefficient, *t.signed()) for t in terms]
+            print(json.dumps({"terms": [{"coeff": c, "s": a, "t": b} for c, a, b in signed]}))
         elif args.format == "pretty":
             print(" + ".join(t.pretty() for t in terms))
         else:

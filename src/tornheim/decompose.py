@@ -19,16 +19,19 @@ belong to the outer summation index m.  (Some of the multiple-zeta-value
 literature attaches them to the inner index instead; everything here,
 including the bar notation below, follows the outer-first convention.)
 
-The p = 0 and q = 0 boundary cases flow through the same loop: the
-falling-factorial binomial convention makes every term but one vanish,
-collapsing the sum to the single term the index substitution M = m+n
-gives directly.
+Both sums are the partial-fraction identity for 1/(x^p y^q) at x = m,
+y = n: a term c/(x^e (x+y)^f) becomes c*Li[r+f, e](a*b, 1/a) and a term
+c/(y^e (x+y)^f) becomes c*Li[r+f, e](b, a), so partial_fraction is the
+one place the identity is coded.  The p = 0 and q = 0 boundary cases flow
+through it too: the falling-factorial binomial convention makes every term
+but one vanish, collapsing the sum to the single term the index
+substitution M = m+n gives directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import RootOfUnity, binomial, root_inv, root_mul
+from .algebra import MINUS_ONE, ONE, RootOfUnity, binomial, root_inv, root_mul
 
 
 @dataclass(frozen=True)
@@ -83,21 +86,21 @@ class PartialFractionTerm:
 
 
 def partial_fraction(p: int, q: int) -> list[PartialFractionTerm]:
-    """Expand 1/(x^p y^q) into p+q terms in x-or-y times (x+y) powers.
+    """Expand 1/(x^p y^q) into terms in x-or-y times (x+y) powers.
 
     1/(x^p y^q) = sum_{i<p} C(q+i-1,i) / (x^(p-i) (x+y)^(q+i))
                 + sum_{j<q} C(p+j-1,j) / (y^(q-j) (x+y)^(p+j))
 
-    valid for positive integers p, q and reals x, y with x+y != 0.
+    valid for integers p, q >= 0 with p+q > 0 and reals x, y with
+    x+y != 0.  C is the falling-factorial binomial, and terms whose
+    coefficient vanishes are dropped: p+q terms when p, q >= 1, and the
+    single term 1/y^q (p = 0) or 1/x^p (q = 0) otherwise.
     """
-    if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
-        raise ValueError("partial_fraction requires positive integers p, q")
-    terms = []
-    for i in range(p):
-        terms.append(PartialFractionTerm(binomial(q + i - 1, i), p - i, 0, q + i))
-    for j in range(q):
-        terms.append(PartialFractionTerm(binomial(p + j - 1, j), 0, q - j, p + j))
-    return terms
+    if not isinstance(p, int) or not isinstance(q, int) or p < 0 or q < 0 or p + q == 0:
+        raise ValueError("partial_fraction requires integers p, q >= 0 with p+q > 0")
+    terms = [PartialFractionTerm(binomial(q + i - 1, i), p - i, 0, q + i) for i in range(p)]
+    terms += [PartialFractionTerm(binomial(p + j - 1, j), 0, q - j, p + j) for j in range(q)]
+    return [t for t in terms if t.coefficient]
 
 
 @dataclass(frozen=True)
@@ -184,25 +187,18 @@ class Decomposition:
 
 
 def expansion_terms(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> list[LiTerm]:
-    """Unmerged decomposition terms in display order.
-
-    First family (increasing i, arguments (alpha*beta, 1/alpha)), then
-    second family (increasing j, arguments (beta, alpha)).  Terms whose
-    binomial coefficient vanishes are dropped.
+    """Unmerged decomposition terms in display order: partial_fraction(p, q)
+    term by term, c/(x^e (x+y)^f) as c*Li[r+f, e](alpha*beta, 1/alpha) and
+    c/(y^e (x+y)^f) as c*Li[r+f, e](beta, alpha).
     """
-    p, q, r = index.p, index.q, index.r
     ab = root_mul(alpha, beta)
     ai = root_inv(alpha)
-    out: list[LiTerm] = []
-    for i in range(p):
-        c = binomial(q + i - 1, i)
-        if c:
-            out.append(LiTerm(c, r + q + i, p - i, ab, ai))
-    for j in range(q):
-        c = binomial(p + j - 1, j)
-        if c:
-            out.append(LiTerm(c, r + p + j, q - j, beta, alpha))
-    return out
+    return [
+        LiTerm(pf.coefficient, index.r + pf.sum_exp, pf.x_exp, ab, ai)
+        if pf.x_exp
+        else LiTerm(pf.coefficient, index.r + pf.sum_exp, pf.y_exp, beta, alpha)
+        for pf in partial_fraction(index.p, index.q)
+    ]
 
 
 def decompose(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> Decomposition:
@@ -250,12 +246,20 @@ class EulerTerm:
                 )
         return cls(term.coefficient, term.s, term.t, term.x.order == 2, term.y.order == 2)
 
+    @classmethod
+    def from_signed(cls, coefficient: int, a: int, b: int) -> "EulerTerm":
+        """coefficient * z(a, b), a negative entry being a barred one."""
+        return cls(coefficient, abs(a), abs(b), a < 0, b < 0)
+
+    def signed(self) -> tuple[int, int]:
+        """(s, t) with each barred entry negated: the z(a, b) notation."""
+        return (-self.s if self.s_bar else self.s, -self.t if self.t_bar else self.t)
+
     def key(self) -> tuple:
         return (self.s, self.t, self.s_bar, self.t_bar)
 
     def z_text(self) -> str:
-        a = -self.s if self.s_bar else self.s
-        b = -self.t if self.t_bar else self.t
+        a, b = self.signed()
         body = f"z({a},{b})"
         return body if self.coefficient == 1 else f"{self.coefficient}*{body}"
 
@@ -273,13 +277,9 @@ def to_level2(decomposition: Decomposition) -> list[EulerTerm]:
 
 def r_decomposition(p: int, q: int, r: int) -> list[EulerTerm]:
     """Expansion of R(p,q,r) = sum (-1)^n / (m^p n^q (m+n)^r)."""
-    from .algebra import MINUS_ONE, ONE
-
     return to_level2(decompose(MTIndex(p, q, r), MINUS_ONE, ONE))
 
 
 def s_decomposition(p: int, q: int, r: int) -> list[EulerTerm]:
     """Expansion of S(p,q,r) = sum (-1)^(m+n) / (m^p n^q (m+n)^r)."""
-    from .algebra import MINUS_ONE, ONE
-
     return to_level2(decompose(MTIndex(p, q, r), ONE, MINUS_ONE))

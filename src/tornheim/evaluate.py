@@ -15,6 +15,7 @@ Summation machinery, bottom up:
   started at A = w + J with J large enough that the first omitted Bernoulli
   term is below 1e-16 relative.  (j+w)^(-s) is completely monotone, so the
   remainder is bounded by that first omitted term, which enters the bound.
+  This is the one route for every s.
 
 * tail_sum(s, x, n): T = sum_{m>n} x^m/m^s for an Nth root of unity x
   collapses over residue classes of m mod N to
@@ -106,6 +107,7 @@ from .algebra import ONE, RootOfUnity, root_mul, root_value
 from .decompose import Decomposition, MTIndex
 
 _EPS = 2.220446049250313e-16
+_TINY = math.ulp(0.0)  # the smallest positive double, 5e-324
 
 # B_2..B_16 drive the Euler-Maclaurin corrections (order up to 16); B_18
 # only ever feeds the first-omitted-term remainder bound.
@@ -229,31 +231,21 @@ def _em_params(s: int, half_order: int) -> tuple[tuple[float, ...], float, float
     return betas, bhat, max(4.0, a_min)
 
 
-def _hurwitz_direct(s: int, w: float) -> tuple[float, float]:
-    # For large s the terms decay geometrically; no acceleration needed.
-    parts = []
-    acc = 0.0
-    j = 0
-    while True:
-        term = (w + j) ** -s
-        parts.append(term)
-        acc += term
-        j += 1
-        bound = (w + j - 1) ** (1 - s) / (s - 1)
-        if term == 0.0 or bound <= 1e-17 * acc:
-            break
-    return fsum(parts), bound + 4.0 * _EPS * acc
-
-
 def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
-    """H(s, w) = sum_{j>=0} (j+w)^(-s) with its truncation bound."""
+    """H(s, w) = sum_{j>=0} (j+w)^(-s) with its truncation bound.
+
+    The terms below the Euler-Maclaurin start a_min are summed directly and
+    the expansion of the given order, 8 or 16 (any other is a ValueError),
+    runs from there.  The bound carries one smallest subnormal, 5e-324, so
+    it stays above the error where H underflows to 0.0.
+    """
     if not isinstance(s, int) or s < 2:
         raise ValueError("hurwitz_tail requires integer s >= 2")
     if not (w > 0.0):
         raise ValueError("hurwitz_tail requires w > 0")
+    if order not in (_HEAD_ORDER, _LADDER_ORDER):
+        raise ValueError(f"Euler-Maclaurin order {order!r} is not {_HEAD_ORDER} or {_LADDER_ORDER}")
     betas, bhat, a_min = _em_params(s, order // 2)
-    if s >= 30 and w < a_min:
-        return _hurwitz_direct(s, w)
     extra = int(max(0.0, math.ceil(a_min - w)))
     head = fsum((w + j) ** -s for j in range(extra)) if extra else 0.0
     a = w + extra
@@ -261,7 +253,7 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
     for i, beta in enumerate(betas):
         tail += beta * a ** -(s + 2 * i + 1)
     bound = bhat * a ** -(s + 2 * len(betas) + 1)
-    return head + tail, bound + 4.0 * _EPS * (head + abs(tail))
+    return head + tail, bound + 4.0 * _EPS * (head + abs(tail)) + _TINY
 
 
 @lru_cache(maxsize=None)

@@ -128,9 +128,7 @@ def parse_fixture_line(line: str) -> Fixture:
         if toks.peek()[0] == "int":
             coeff = toks.expect_int()
             toks.expect("*")
-        terms.append(
-            _parse_call(toks, {"z": lambda a, b: EulerTerm(coeff, abs(a), abs(b), a < 0, b < 0)})
-        )
+        terms.append(_parse_call(toks, {"z": lambda a, b: EulerTerm.from_signed(coeff, a, b)}))
     toks.expect_end()
     return Fixture(f"R({index.p},{index.q},{index.r})", index, tuple(terms))
 
@@ -154,21 +152,17 @@ def compare_fixture(fixture: Fixture) -> Report:
     got = _merge_euler(computed)
     want = _merge_euler(fixture.expected)
     ms = (time.perf_counter() - t0) * 1000.0
-    if got == want:
-        return Report(fixture.label, True, _euler_text(computed), _euler_text(fixture.expected), 0.0, 0.0, ms)
-    diffs = []
-    for key in sorted(set(got) | set(want)):
-        if got.get(key, 0) != want.get(key, 0):
-            s, t, sb, tb = key
-            diffs.append(
-                f"z({-s if sb else s},{-t if tb else t}): got {got.get(key, 0)}, expected {want.get(key, 0)}"
-            )
+    diffs = [
+        f"{EulerTerm(1, *key).z_text()}: got {got.get(key, 0)}, expected {want.get(key, 0)}"
+        for key in sorted(got.keys() | want.keys())
+        if got.get(key, 0) != want.get(key, 0)
+    ]
     return Report(
         fixture.label,
-        False,
+        not diffs,
         _euler_text(computed),
         _euler_text(fixture.expected),
-        float("nan"),
+        float("nan") if diffs else 0.0,
         0.0,
         ms,
         "; ".join(diffs),

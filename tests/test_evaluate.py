@@ -31,7 +31,6 @@ from tornheim import evaluate
 from tornheim.evaluate import (
     MAX_ORACLE_CUTOFF,
     MAX_ROOT_ORDER,
-    _hurwitz_direct,
     _hurwitz_row,
     _li_head,
     _li_once,
@@ -60,7 +59,7 @@ def brute_li_t1(s, m_max):
 
 
 class TestHurwitz:
-    @pytest.mark.parametrize("s", [2, 3, 4, 6, 9, 12, 24])
+    @pytest.mark.parametrize("s", [2, 3, 4, 6, 9, 12, 24, 30, 35, 40, 60])
     @pytest.mark.parametrize("w", [0.25, 0.5, 1.0, 1.5, 7.3, 129.37, 1e6])
     def test_against_scipy(self, s, w):
         val, bound = hurwitz_tail(s, w)
@@ -73,20 +72,29 @@ class TestHurwitz:
         assert abs(val - ref) <= 1e-13 * abs(ref)
         assert bound >= 0
 
-    @pytest.mark.parametrize("s", [30, 35, 40, 60])
-    def test_large_s_routes_by_w(self, s, monkeypatch):
-        # From s = 30 on, w below the Euler-Maclaurin start a_min is summed
-        # directly; at or above it the expansion starts at w itself.
-        a_min = evaluate._em_params(s, 4)[2]
-        direct = []
-        monkeypatch.setattr(evaluate, "_hurwitz_direct", lambda s, w: direct.append(w) or _hurwitz_direct(s, w))
-        for w in (a_min, 1000.0, 1e6):
-            em, em_bound = hurwitz_tail(s, w)
-            ref, ref_bound = _hurwitz_direct(s, w)
-            assert abs(em - ref) <= em_bound + ref_bound
-        assert direct == []
-        hurwitz_tail(s, 0.999 * a_min)
-        assert direct == [0.999 * a_min]
+    def test_bound_covers_an_underflowed_value(self):
+        # H(60, 1e6) <= w^(1-s)/(s-1) + w^(-s), which lies below the
+        # smallest subnormal; the value underflows to 0.0, so only a bound
+        # of at least that subnormal covers |0.0 - H|.
+        s, w = 60, 1e6
+        val, bound = hurwitz_tail(s, w)
+        assert val == 0.0 and bound >= 5e-324
+        majorant = np.logaddexp((1 - s) * math.log(w) - math.log(s - 1), -s * math.log(w))
+        assert majorant < math.log(5e-324)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 18, 20])
+    def test_rejects_other_orders(self, order):
+        with pytest.raises(ValueError, match=rf"order {order} "):
+            hurwitz_tail(3, 2.5, order)
+        with pytest.raises(ValueError, match=rf"order {order} "):
+            tail_sum(3, W3, 11, order)
+
+    def test_accepts_orders_8_and_16(self):
+        for order in (8, 16):
+            val, bound = hurwitz_tail(3, 2.5, order)
+            assert abs(val - float(scipy.special.zeta(3, 2.5))) <= 5e-14 + bound
+            v = tail_sum(3, W3, 11, order)
+            assert math.isfinite(abs(v.value)) and v.error_bound < 1e-15
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -630,6 +638,27 @@ class TestHonestyRandomized:
             v1 = eval_mt_direct(idx, alpha, beta, cfg1)
             v2 = eval_mt_direct(idx, alpha, beta, cfg2)
             assert abs(v1.value - v2.value) < v1.error_bound
+
+    def test_head_doubling_within_bounds(self):
+        # Acceptance criterion 7's 50 cases, with every decomposition term
+        # evaluated at the default head length n0 and at 2*n0.
+        from tornheim import enumerate_indices, color_pairs
+
+        def combined(d, scale):
+            return ValueWithError.combine(
+                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, scale * max(128, 16 * u.x.order))))
+                for u in d.terms
+            )
+
+        rng = random.Random(20260810)
+        indices = enumerate_indices(8)
+        pairs = color_pairs([1, 2, 3, 4])
+        for _ in range(50):
+            idx = rng.choice(indices)
+            alpha, beta = rng.choice(pairs)
+            d = decompose(idx, alpha, beta)
+            d1, d2 = combined(d, 1), combined(d, 2)
+            assert abs(d1.value - d2.value) <= d1.error_bound + d2.error_bound
 
 
 class TestConfigAndValue:

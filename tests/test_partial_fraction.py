@@ -49,10 +49,12 @@ def test_2_2_coefficients():
 
 def test_identity_at_random_points():
     rng = random.Random(48)
-    for p in range(1, 7):
-        for q in range(1, 7):
+    for p in range(7):
+        for q in range(7):
+            if p + q == 0:
+                continue
             terms = partial_fraction(p, q)
-            assert len(terms) == p + q
+            assert len(terms) == (p + q if p and q else 1)
             for _ in range(20):
                 x, y = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
                 assert abs(rhs(terms, x, y) - lhs(p, q, x, y)) < 1e-12
@@ -65,8 +67,13 @@ def test_each_term_names_its_variable():
             assert [t.variable for t in terms] == ["x"] * p + ["y"] * q
 
 
+def test_zero_exponent_gives_one_term():
+    for n in range(1, 7):
+        assert [(t.coefficient, t.x_exp, t.y_exp, t.sum_exp) for t in partial_fraction(0, n)] == [(1, 0, n, 0)]
+        assert [(t.coefficient, t.x_exp, t.y_exp, t.sum_exp) for t in partial_fraction(n, 0)] == [(1, n, 0, 0)]
+
+
 def test_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        partial_fraction(0, 1)
-    with pytest.raises(ValueError):
-        partial_fraction(1, 0)
+    for p, q in [(0, 0), (-1, 2), (2, -1), (-1, 0), (1.0, 1), (1, "2")]:
+        with pytest.raises(ValueError):
+            partial_fraction(p, q)
