@@ -95,7 +95,7 @@ def root_value(a: RootOfUnity) -> complex:
 
     Axis points come out exact, and conjugate roots produce exactly
     conjugate doubles (the upper half plane mirrors the lower); both
-    properties are relied on by the evaluator's phase tables.
+    properties are relied on by the evaluator's root-power tables.
     """
     e, n = a.exponent, a.order
     if e == 0:

@@ -43,12 +43,14 @@ Summation machinery, bottom up:
   per such key as a schedule of arrays, and each call runs it on its own
   rungs and phases with the scalar loop's roundings.
 
-* Memos under eval_li: phase tables root_value(e/N) per order N, the
-  Hurwitz rows above, the ladder tails tail_sum(omega, xy, n0) shared by
-  every shape and color pair with that product, the n^-e tables and the
-  root-power vectors root^n (n = n0..1, per root and n0) of the head,
-  whose first columns the tail reads as its phases, and the tail
-  schedules per (s, t, ord x, n0), shared by every color of that order.
+* Memos under eval_li: the Hurwitz rows above, the ladder tails
+  tail_sum(omega, xy, n0) shared by every shape and color pair with that
+  product, the n^-e tables, the root powers and the tail schedules per
+  (s, t, ord x, n0), shared by every color of that order.  The root
+  powers are the layer's one root-power rule: a table per (root, n)
+  whose column j is root^j, j = 0..n-1.  tail_sum and the tail read x^c
+  at column c of _root_powers(x, ord x + 1); the head reads
+  _root_powers(., n0 + 1) backwards.
   eval_li's own cache is keyed on (s, t, x, y, n0): max_inner_terms,
   through n0, is the only config field a value reads.  The memos only
   skip recomputation; every value and bound is bit for bit what the
@@ -59,7 +61,7 @@ Summation machinery, bottom up:
   hits and misses.  hurwitz_tail and tail_sum themselves stay uncached.
   Memory grows with the distinct inputs seen: O(distinct (s, order, n0)
   x order) floats for the rows, O(distinct (e, n0) x n0) for the power
-  tables, O(distinct (root, n0) x n0) for the root powers, one entry per
+  tables, O(distinct (root, n) x n) for the root powers, one entry per
   distinct (omega, xy, n0) rung, 2 floats and 3 small integers per
   j-series term of each distinct schedule, and one entry per distinct
   eval_li call.  One pass of the benchmark's eval workload holds about
@@ -72,6 +74,8 @@ Summation machinery, bottom up:
   integral-comparison tail bound.  Each anti-diagonal is one row of a
   sliding-window view of the m^-p table times the column n^-q (times
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
+  It builds its own phases root^j (j < order) from root_value and reads
+  none of the Li layer's memos.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -137,7 +141,7 @@ _ORACLE_BLOCK = 256
 MAX_ORACLE_CUTOFF = 2**20
 
 # Largest root order accepted by tail_sum, eval_li and eval_mt_direct: their
-# phase tables, Hurwitz rows and residue loops all have one entry per
+# root-power tables, Hurwitz rows and residue loops all have one entry per
 # residue class mod the order.
 MAX_ROOT_ORDER = 2**16
 
@@ -237,7 +241,8 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
     The terms below the Euler-Maclaurin start a_min are summed directly and
     the expansion of the given order, 8 or 16 (any other is a ValueError),
     runs from there.  The bound carries one smallest subnormal, 5e-324, so
-    it stays above the error where H underflows to 0.0.
+    it stays above the error where H underflows to 0.0.  A direct term
+    beyond the double range (w far below 1 at large s) is a ValueError.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("hurwitz_tail requires integer s >= 2")
@@ -247,19 +252,16 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
         raise ValueError(f"Euler-Maclaurin order {order!r} is not {_HEAD_ORDER} or {_LADDER_ORDER}")
     betas, bhat, a_min = _em_params(s, order // 2)
     extra = int(max(0.0, math.ceil(a_min - w)))
-    head = fsum((w + j) ** -s for j in range(extra)) if extra else 0.0
+    try:
+        head = fsum((w + j) ** -s for j in range(extra)) if extra else 0.0
+    except OverflowError:
+        raise ValueError(f"hurwitz_tail: (w+j)^-s at s = {s}, w = {w!r} overflows the double range") from None
     a = w + extra
     tail = a ** (1 - s) / (s - 1) + 0.5 * a**-s
     for i, beta in enumerate(betas):
         tail += beta * a ** -(s + 2 * i + 1)
     bound = bhat * a ** -(s + 2 * len(betas) + 1)
     return head + tail, bound + 4.0 * _EPS * (head + abs(tail)) + _TINY
-
-
-@lru_cache(maxsize=None)
-def _phases(order: int) -> tuple[complex, ...]:
-    """root_value(RootOfUnity(e, order)) for e = 0..order-1."""
-    return tuple(root_value(RootOfUnity(e, order)) for e in range(order))
 
 
 @lru_cache(maxsize=None)
@@ -287,14 +289,13 @@ def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
         raise ValueError("tail_sum requires integer s >= 2")
     if not isinstance(n, int) or n < 0:
         raise ValueError("tail_sum requires integer n >= 0")
-    nn, k = x.order, x.exponent
+    nn = x.order
     scale = float(nn) ** -s
     row, bound, mass = _hurwitz_row(s, nn, n, order)
-    ph = _phases(nn)
-    re = [ph[(k * c) % nn].real * hz for c, hz in enumerate(row, 1)]
-    im = [ph[(k * c) % nn].imag * hz for c, hz in enumerate(row, 1)]
-    front = ph[(k * n) % nn]
-    value = front * complex(fsum(re), fsum(im)) * scale
+    xr, xi = _root_powers(x, nn + 1).tolist()
+    re = [xr[c] * hz for c, hz in enumerate(row, 1)]
+    im = [xi[c] * hz for c, hz in enumerate(row, 1)]
+    value = complex(xr[n % nn], xi[n % nn]) * complex(fsum(re), fsum(im)) * scale
     return ValueWithError(value, scale * (bound + 8.0 * _EPS * mass))
 
 
@@ -313,13 +314,13 @@ def _inv_powers(e: int, n0: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _root_powers(root: RootOfUnity, n0: int) -> np.ndarray:
-    """Rows real and imaginary part of root^n for n = n0, n0-1, ..., 1.
+def _root_powers(root: RootOfUnity, n: int) -> np.ndarray:
+    """Rows real and imaginary part of root^j for j = 0..n-1.
 
-    Column n0 - c is root^c, the phase the tail reads for residue c < n0.
+    The Li layer's only root-power table: tail_sum and the tail read
+    columns j <= order, the head reads the table backwards.
     """
-    nn = root.order
-    powers = np.array(_phases(nn))[(root.exponent * np.arange(n0, 0, -1)) % nn]
+    powers = np.array([root_value(root**j) for j in range(root.order)])[np.arange(n) % root.order]
     table = np.array([powers.real, powers.imag])
     table.flags.writeable = False
     return table
@@ -336,7 +337,7 @@ def _li_head(
     to the sign of a zero part, which np.hypot and fsum drop: the results
     are bit for bit the loop's.
     """
-    xp, yp = _root_powers(x, n0), _root_powers(y, n0)
+    xp, yp = _root_powers(x, n0 + 1)[:, :0:-1], _root_powers(y, n0 + 1)[:, :0:-1]
     fs, ft = _inv_powers(s, n0), _inv_powers(t, n0)
     tn = np.empty((2, n0))  # rows real and imaginary part of T(s,x,n)
     tn[:, 0] = t_n0.real, t_n0.imag
@@ -367,10 +368,10 @@ def _tail_schedule(
       sigma;
     * a float block of rows cj*binom (the weight of the rung value) and
       apref*cj*binom (the weight of the rung's bound);
-    * an index block, of the narrowest unsigned type that holds n0 and the
-      rung count, with rows rung index, n0 - c (the position of x^c in the
-      head's _root_powers(x, n0)) and signed prefactor index (the weight
-      of x^c times the weighted rung).
+    * an index block, of the narrowest unsigned type that holds ord x and
+      the rung count, with rows rung index, c (the column of x^c in
+      _root_powers) and signed prefactor index (the weight of x^c times
+      the weighted rung).
 
     Each stopping majorant rides as one more entry on a sentinel rung
     (index 0) with value 0 and bound 1.0: its bound weight is the majorant,
@@ -381,7 +382,7 @@ def _tail_schedule(
     sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
     sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
     prefs = [0.0]
-    terms = []  # (omega, n0 - c, prefs index, cj*binom, apref*cj*binom); omega 0 is the sentinel
+    terms = []  # (omega, c, prefs index, cj*binom, apref*cj*binom); omega 0 is the sentinel
     nf = float(n0)
     for sigma, coef in sigmas:
         pref = coef * float(nx) ** (sigma - s)
@@ -393,7 +394,7 @@ def _tail_schedule(
             binom = 1.0  # C(sigma+j-1, j)
             j = 0
             while True:
-                terms.append((t + sigma + j, n0 - c, k + j % 2, cj * binom, apref * cj * binom))
+                terms.append((t + sigma + j, c, k + j % 2, cj * binom, apref * cj * binom))
                 j += 1
                 binom *= (sigma + j - 1) / j
                 cj *= c
@@ -415,7 +416,7 @@ def _tail_schedule(
     index = {omega: i for i, omega in enumerate([0, *omegas])}
     prefs, weights = np.array(prefs), np.array(weights)
     where = np.array(
-        [[index[omega] for omega in rungs], pos, signed], dtype=np.min_scalar_type(max(n0, len(index)))
+        [[index[omega] for omega in rungs], pos, signed], dtype=np.min_scalar_type(max(nx, len(index)))
     )
     prefs.flags.writeable = weights.flags.writeable = where.flags.writeable = False
     return tuple(omegas), prefs, weights, where
@@ -439,7 +440,7 @@ def _li_tail(
     # Rows real part, imaginary part and bound: the sentinel, then each rung.
     lam = np.array([(0.0, 0.0, 1.0), *((v.value.real, v.value.imag, v.error_bound) for v in lams)])
     lam = lam.T.take(rung, axis=1)
-    xc = _root_powers(x, n0).take(pos, axis=1)
+    xc = _root_powers(x, x.order + 1).take(pos, axis=1)
     u = wu * lam[:2]
     a, b = xc * u, xc * u[::-1]
     wg = prefs.take(signed)
@@ -514,7 +515,7 @@ def eval_li(
     return _li_value(s, t, x, y, n0)
 
 
-_LI_MEMOS = (_li_value, _phases, _hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
+_LI_MEMOS = (_li_value, _hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
 
 
 def _clear_li_caches() -> None:
@@ -525,11 +526,6 @@ def _clear_li_caches() -> None:
 
 eval_li.cache_info = _li_value.cache_info
 eval_li.cache_clear = _clear_li_caches
-
-
-def _phase_table(root: RootOfUnity) -> np.ndarray:
-    """root^j for j = 0..order-1 as a complex array."""
-    return np.array(_phases(root.order))[(root.exponent * np.arange(root.order)) % root.order]
 
 
 def _neg_int_pow(base: np.ndarray, e: int) -> np.ndarray:
@@ -596,7 +592,9 @@ def eval_mt_direct(
     ns = np.arange(1, cut, dtype=np.float64)
     a = _neg_int_pow(ns, p)
     b = _neg_int_pow(ns, q)
-    phase = _phase_table(alpha)[np.arange(1, cut) % alpha.order]
+    # root^j for j < order, built here: the oracle reads no Li-layer memo.
+    alpha_j, beta_j = (np.array([root_value(root**j) for j in range(root.order)]) for root in (alpha, beta))
+    phase = alpha_j[np.arange(1, cut) % alpha.order]
     cols = (phase.real * b, phase.imag * b, b)
 
     # Row k-2 of v is diagonal k: v[k-2, n-1] = (k-n)^-p for n < k, else 0.
@@ -611,7 +609,7 @@ def eval_mt_direct(
 
     ks = np.arange(2, cut + 1)
     kf = _neg_int_pow(ks.astype(np.float64), r)
-    contrib = (rows[0] + 1j * rows[1]) * _phase_table(beta)[ks % beta.order] * kf
+    contrib = (rows[0] + 1j * rows[1]) * beta_j[ks % beta.order] * kf
     value = complex(fsum(contrib.real.tolist()), fsum(contrib.imag.tolist()))
     mass = fsum((rows[2] * kf).tolist())
     bound = oracle_tail_bound(p, q, r, cut) + _EPS * (cut + 64.0) * mass

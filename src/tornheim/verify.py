@@ -21,7 +21,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .algebra import MINUS_ONE, ONE, RootOfUnity
-from .decompose import EulerTerm, MTIndex, decompose, r_decomposition
+from .decompose import EulerTerm, LiTerm, MTIndex, decompose, r_decomposition
 from .evaluate import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -437,12 +437,6 @@ def _parse_constants(toks: _Tokens) -> tuple:
     return tuple(terms)
 
 
-def _li_target(s: int, t: int, x: RootOfUnity, y: RootOfUnity) -> tuple:
-    if s < 2 or t < 1:
-        raise ValueError("Li target needs s >= 2 and t >= 1")
-    return ("li", s, t, x, y)
-
-
 def parse_relation(line: str) -> RelationSpec:
     """Parse one relation line; syntax errors carry the offending position."""
     toks = _Tokens(line)
@@ -450,7 +444,11 @@ def parse_relation(line: str) -> RelationSpec:
     eq_pos = toks.peek()[2]
     toks.expect("==")
     target = _parse_call(
-        toks, {"MT": lambda p, q, r, a, b: ("mt", MTIndex(p, q, r), a, b), "Li": _li_target}
+        toks,
+        {
+            "MT": lambda p, q, r, a, b: ("mt", MTIndex(p, q, r), a, b),
+            "Li": lambda s, t, x, y: ("li", *LiTerm(1, s, t, x, y).key()),
+        },
     )
     toks.expect_end()
     return RelationSpec(line[:eq_pos].strip(), terms, target)

@@ -160,6 +160,22 @@ def test_relation_command(tmp_path, capsys):
     assert err.startswith("error: line 2: ") and "position" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "relation"])
+def test_overflowing_rung_exits_2_without_traceback(command, tmp_path):
+    # A ladder rung of Li[206,1](1, 1/4096) has w far below 1, where
+    # w^-206 overflows: a named error, not a traceback.
+    rel = tmp_path / "rel.txt"
+    rel.write_text("1*zeta(2) == Li(206,1;1,1/4096)\n", encoding="utf-8")
+    args = {
+        "eval": ["--p", "0", "--q", "1", "--r", "205", "--alpha", "1/4096"],
+        "relation": ["--file", str(rel)],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "tornheim", command, *args], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "overflows the double range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_bad_fixture_file_names_the_line(tmp_path, capsys):
     bad = tmp_path / "fx.txt"
     bad.write_text("R(1,1,3) = z(-4,-1) + z(4,-1)\n# comment\nR(2,1,2) = 2 z(3,2)\n", encoding="utf-8")

@@ -102,6 +102,25 @@ class TestHurwitz:
         with pytest.raises(ValueError):
             hurwitz_tail(2, 0.0)
 
+    def test_direct_term_overflow_is_a_named_error(self):
+        # w^-s = 0.0315^-206 is beyond the double range; a ladder rung of
+        # Li[206,1](1, 1/4096) starts there, at w = (n0+c)/4096 with n0 = 128.
+        with pytest.raises(ValueError, match=r"s = 206, w = 0\.031494140625 overflows the double range"):
+            hurwitz_tail(206, 0.031494140625)
+        with pytest.raises(ValueError, match=r"s = 206, .* overflows the double range"):
+            eval_li(206, 1, ONE, RootOfUnity(1, 4096))
+
+
+def _scalar_tail_sum(s, x, n, order):
+    """tail_sum's residue-class formula with scalar phases, the reference for tail_sum."""
+    nn = x.order
+    scale = float(nn) ** -s
+    row, bound, mass = _hurwitz_row(s, nn, n, order)
+    re = [(x**c).value().real * hz for c, hz in enumerate(row, 1)]
+    im = [(x**c).value().imag * hz for c, hz in enumerate(row, 1)]
+    value = (x**n).value() * complex(math.fsum(re), math.fsum(im)) * scale
+    return repr(value), repr(scale * (bound + 8.0 * evaluate._EPS * mass))
+
 
 class TestTailSum:
     def test_zeta2_vs_direct_summation(self):
@@ -143,6 +162,18 @@ class TestTailSum:
             v8 = tail_sum(s, x, n, order=8)
             v16 = tail_sum(s, x, n, order=16)
             assert abs(v8.value - v16.value) <= v8.error_bound + v16.error_bound
+
+    @pytest.mark.parametrize("nn", range(1, 13))
+    def test_phases_at_every_n_equal_scalar_formula(self, nn):
+        # Every residue n mod nn and both n > nn and n < nn, so that each
+        # phase x^c and x^(n mod nn) is read.
+        for x in [RootOfUnity(k, nn) for k in range(nn) if math.gcd(k, nn) == 1]:
+            for n in range(2 * nn + 2):
+                for s in (2, 5, 19):
+                    for order in (8, 16):
+                        got = tail_sum(s, x, n, order)
+                        ref = _scalar_tail_sum(s, x, n, order)
+                        assert (repr(got.value), repr(got.error_bound)) == ref, (s, x, n, order)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -343,6 +374,14 @@ class TestLiMemos:
         cross_check_grid(7, [1, 2], EvalConfig(oracle_cutoff=2000))
         assert eval_li.cache_info().misses == 60
 
+    def test_oracle_reads_no_li_memo(self):
+        # The oracle is the Li layer's independent check, so it builds its
+        # own phases.
+        eval_li.cache_clear()
+        eval_mt_direct(MTIndex(1, 1, 2), W3, I, EvalConfig(oracle_cutoff=100))
+        memos = evaluate._LI_MEMOS
+        assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
+
     def test_colors_of_one_order_share_a_tail_schedule(self):
         eval_li.cache_clear()
         eval_li(3, 2, RootOfUnity(1, 8), W3)
@@ -413,10 +452,9 @@ class TestLiMemos:
 
 def _scalar_tail(s, t, x, y, n0, bound):
     """The tail's j-series as one plain scalar loop, the reference for _li_tail."""
-    nx, kx = x.order, x.exponent
+    nx = x.order
     z = root_mul(x, y)
     half = evaluate._HEAD_ORDER // 2
-    xv = evaluate._phases(nx)
     betas, bhat, _ = evaluate._em_params(s, half)
     sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
     sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
@@ -436,7 +474,7 @@ def _scalar_tail(s, t, x, y, n0, bound):
         pref = coef * float(nx) ** (sigma - s)
         apref = abs(pref)
         for c in range(1, nx + 1):
-            xc = xv[(kx * c) % nx]
+            xc = (x**c).value()
             cj = 1.0  # c^j
             binom = 1.0  # C(sigma+j-1, j)
             sign = 1.0

@@ -197,6 +197,7 @@ class TestRelations:
         (parse_relation, "1*zeta(5) == MT(1,0,1;-1,1)", 13),
         (parse_relation, "1*zeta(5) == MT(2,1,2;3,1)", 22),
         (parse_relation, "1*zeta(5) == MT(2,1,2;- i,1)", 22),
+        (parse_relation, "1*zeta(3) == Li(1,1;1,1)", 13),
         (parse_fixture_line, "R(2,1,2) = z(-3,-2) +", 21),
         (parse_fixture_line, "Q(2,1,2) = z(3,2)", 0),
         (parse_fixture_line, "R(2,1,2) = 2 z(3,2)", 13),
