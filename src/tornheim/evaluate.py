@@ -66,16 +66,18 @@ Summation machinery, bottom up:
   j-series term of each distinct schedule, and one entry per distinct
   eval_li call.  One pass of the benchmark's eval workload holds about
   3.5 MB of schedules (1246 of them) and 0.2 MB of root powers.
-  tail_sum, eval_li and eval_mt_direct reject roots of order above
-  MAX_ROOT_ORDER = 2**16 before building anything sized by the order.
+  tail_sum, eval_li, eval_mt_direct and oracle_rows reject roots of order
+  above MAX_ROOT_ORDER = 2**16 before building anything sized by the order.
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
   truncated double sum of the defining series, with a color-independent
   integral-comparison tail bound.  Each anti-diagonal is one row of a
   sliding-window view of the m^-p table times the column n^-q (times
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
-  It builds its own phases root^j (j < order) from root_value and reads
-  none of the Li layer's memos.
+  Those row sums, oracle_rows, do not depend on beta: a sweep over beta
+  builds them once per (index, alpha) and passes them to each call, which
+  only weights them by beta^k k^-r.  It builds its own phases root^j
+  (j < order) from root_value and reads none of the Li layer's memos.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -140,9 +142,9 @@ _ORACLE_BLOCK = 256
 # O(cutoff) and its time as O(cutoff^2).
 MAX_ORACLE_CUTOFF = 2**20
 
-# Largest root order accepted by tail_sum, eval_li and eval_mt_direct: their
-# root-power tables, Hurwitz rows and residue loops all have one entry per
-# residue class mod the order.
+# Largest root order accepted by tail_sum, eval_li, eval_mt_direct and
+# oracle_rows: their root-power tables, Hurwitz rows and residue loops all
+# have one entry per residue class mod the order.
 MAX_ROOT_ORDER = 2**16
 
 
@@ -569,50 +571,90 @@ def oracle_tail_bound(p: int, q: int, r: int, cutoff: int) -> float:
     return piece(p, q) + piece(q, p)
 
 
+@dataclass(frozen=True, eq=False)
+class OracleRows:
+    """The beta-free part of eval_mt_direct for one (index, alpha, cutoff).
+
+    rows is a read-only 3 x (cutoff-1) array: row k-2 of each holds the sum
+    over n of diagonal k = m+n of the real part, the imaginary part and the
+    modulus of alpha^n / (m^p n^q).
+    """
+
+    index: MTIndex
+    alpha: RootOfUnity
+    cutoff: int
+    rows: np.ndarray
+
+
+def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
+    """The oracle's diagonal sums over n, which do not depend on beta or r.
+
+    A diagonal's sum over n is a row of a read-only sliding-window view of
+    the m^-p table contracted with n^-q alpha^n by numpy's einsum loop,
+    without BLAS and in an unspecified but fixed order.  Scratch memory is
+    O(cutoff), time O(cutoff^2).
+    """
+    _check_root_orders("oracle_rows", alpha=alpha)
+    cut = cfg.oracle_cutoff
+    size = cut - 1
+    rows = np.empty((3, size))
+    if size:
+        ns = np.arange(1, cut, dtype=np.float64)
+        a = _neg_int_pow(ns, index.p)
+        b = _neg_int_pow(ns, index.q)
+        # alpha^j for j < order, built here: the oracle reads no Li-layer memo.
+        alpha_j = np.array([root_value(alpha**j) for j in range(alpha.order)])
+        phase = alpha_j[np.arange(1, cut) % alpha.order]
+        cols = (phase.real * b, phase.imag * b, b)
+
+        # Row k-2 of v is diagonal k: v[k-2, n-1] = (k-n)^-p for n < k, else 0.
+        zr = np.concatenate((a[::-1], np.zeros(size - 1)))
+        v = np.lib.stride_tricks.sliding_window_view(zr, size)[::-1]
+        for i0 in range(0, size, _ORACLE_BLOCK):
+            i1 = min(i0 + _ORACLE_BLOCK, size)
+            block = v[i0:i1, :i1]
+            for row, col in zip(rows, cols):
+                row[i0:i1] = np.einsum("ij,j->i", block, col[:i1])
+    rows.flags.writeable = False
+    return OracleRows(index, alpha, cut, rows)
+
+
 def eval_mt_direct(
-    index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG
+    index: MTIndex,
+    alpha: RootOfUnity,
+    beta: RootOfUnity,
+    cfg: EvalConfig = DEFAULT_CONFIG,
+    rows: OracleRows | None = None,
 ) -> ValueWithError:
     """Ground-truth oracle: truncated double sum of the defining series.
 
     Sums all (m, n) with m+n <= cfg.oracle_cutoff, one anti-diagonal
-    k = m+n at a time.  A diagonal's sum over n is a row of a read-only
-    sliding-window view of the m^-p table contracted with n^-q alpha^n by
-    numpy's einsum loop, without BLAS and in an unspecified but fixed
-    order; the diagonal subtotals are fsum-combined in order.  The bound is
-    the color-independent absolute tail plus eps*(cutoff+64)*mass, which
-    covers any summation order within a diagonal.  Scratch memory is
-    O(cutoff), time O(cutoff^2).
+    k = m+n at a time: the diagonal's sum over n comes from
+    oracle_rows(index, alpha, cfg), built here when rows is None, and is
+    weighted by beta^k k^-r; the diagonal subtotals are fsum-combined in
+    order.  A sweep over beta may pass the rows of its (index, alpha) to
+    every call: the value and bound are bit for bit those of the call
+    without them.  Rows built for another index, alpha or cutoff are a
+    ValueError naming the field.  The bound is the color-independent
+    absolute tail plus eps*(cutoff+64)*mass, which covers any summation
+    order within a diagonal.
     """
     _check_root_orders("eval_mt_direct", alpha=alpha, beta=beta)
-    p, q, r = index.p, index.q, index.r
     cut = cfg.oracle_cutoff
-    if cut < 2:
-        return ValueWithError(0j, oracle_tail_bound(p, q, r, cut))
-    size = cut - 1
-    ns = np.arange(1, cut, dtype=np.float64)
-    a = _neg_int_pow(ns, p)
-    b = _neg_int_pow(ns, q)
-    # root^j for j < order, built here: the oracle reads no Li-layer memo.
-    alpha_j, beta_j = (np.array([root_value(root**j) for j in range(root.order)]) for root in (alpha, beta))
-    phase = alpha_j[np.arange(1, cut) % alpha.order]
-    cols = (phase.real * b, phase.imag * b, b)
-
-    # Row k-2 of v is diagonal k: v[k-2, n-1] = (k-n)^-p for n < k, else 0.
-    zr = np.concatenate((a[::-1], np.zeros(size - 1)))
-    v = np.lib.stride_tricks.sliding_window_view(zr, size)[::-1]
-    rows = np.empty((3, size))
-    for i0 in range(0, size, _ORACLE_BLOCK):
-        i1 = min(i0 + _ORACLE_BLOCK, size)
-        block = v[i0:i1, :i1]
-        for row, col in zip(rows, cols):
-            row[i0:i1] = np.einsum("ij,j->i", block, col[:i1])
-
+    if rows is None:
+        rows = oracle_rows(index, alpha, cfg)
+    for field, want in (("index", index), ("alpha", alpha), ("cutoff", cut)):
+        got = getattr(rows, field)
+        if got != want:
+            raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
+    beta_j = np.array([root_value(beta**j) for j in range(beta.order)])
     ks = np.arange(2, cut + 1)
-    kf = _neg_int_pow(ks.astype(np.float64), r)
-    contrib = (rows[0] + 1j * rows[1]) * beta_j[ks % beta.order] * kf
+    kf = _neg_int_pow(ks.astype(np.float64), index.r)
+    re, im, mod = rows.rows
+    contrib = (re + 1j * im) * beta_j[ks % beta.order] * kf
     value = complex(fsum(contrib.real.tolist()), fsum(contrib.imag.tolist()))
-    mass = fsum((rows[2] * kf).tolist())
-    bound = oracle_tail_bound(p, q, r, cut) + _EPS * (cut + 64.0) * mass
+    mass = fsum((mod * kf).tolist())
+    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
     return ValueWithError(value, bound)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .evaluate import (
     eval_decomposition,
     eval_li,
     eval_mt_direct,
+    oracle_rows,
     pi_const,
     zeta_const,
 )
@@ -40,9 +42,13 @@ R212_DISPUTED_FORM = "45/16*zeta(5) - 1/4*pi^2*zeta(3)"
 PRINTED_TOL = 5e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
-    """Outcome of one verification case; failures carry both sides."""
+    """Outcome of one verification case; failures carry both sides.
+
+    ms is the case's own time.  In cross_check_grid the first case of each
+    (index, alpha) also carries the oracle rows its other cases reuse.
+    """
 
     label: str
     passed: bool
@@ -71,11 +77,17 @@ class Report:
 
 
 def _agreement(label: str, lhs: ValueWithError, rhs: ValueWithError, t0: float) -> Report:
-    """The numeric agreement rule: pass iff |lhs - rhs| <= the sum of both bounds."""
+    """The numeric agreement rule: pass iff |lhs - rhs| <= the sum of both bounds.
+
+    The report's texts are interned, so the reports of a sweep run again,
+    whose values are bit for bit the same, share one copy of each label and
+    value text.
+    """
     diff = abs(lhs.value - rhs.value)
     bound = lhs.error_bound + rhs.error_bound
     ms = (time.perf_counter() - t0) * 1000.0
-    return Report(label, diff <= bound, _cfmt(lhs.value), _cfmt(rhs.value), diff, bound, ms)
+    label, lhs_text, rhs_text = map(sys.intern, (label, _cfmt(lhs.value), _cfmt(rhs.value)))
+    return Report(label, diff <= bound, lhs_text, rhs_text, diff, bound, ms)
 
 
 def _cfmt(v: complex) -> str:
@@ -202,15 +214,24 @@ def color_pairs(orders: list[int]) -> list[tuple[RootOfUnity, RootOfUnity]]:
 def cross_check_grid(
     max_weight: int, orders: list[int], cfg: EvalConfig = DEFAULT_CONFIG
 ) -> list[Report]:
-    """Oracle vs decomposition on every index/color case, combined bounds."""
+    """Oracle vs decomposition on every index/color case, combined bounds.
+
+    The pairs run alpha-major, so the oracle's beta-free rows are built once
+    per (index, alpha) and shared by every beta.  They are built inside the
+    timed window of that (index, alpha)'s first case, whose Report.ms
+    carries them; every ms of the sweep is charged to some case.
+    """
     if max_weight < 3:
         raise ValueError("max_weight must be >= 3")
     reports = []
     pairs = color_pairs(orders)
     for idx in enumerate_indices(max_weight):
+        rows = None
         for alpha, beta in pairs:
             t0 = time.perf_counter()
-            oracle = eval_mt_direct(idx, alpha, beta, cfg)
+            if rows is None or rows.alpha != alpha:
+                rows = oracle_rows(idx, alpha, cfg)
+            oracle = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
             dec = eval_decomposition(decompose(idx, alpha, beta), cfg)
             label = f"MT({idx.p},{idx.q},{idx.r};{alpha},{beta})"
             reports.append(_agreement(label, oracle, dec, t0))

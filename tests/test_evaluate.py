@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,10 @@ from tornheim import (
     MTIndex,
     RootOfUnity,
     ValueWithError,
+    color_pairs,
     cross_check_grid,
     decompose,
+    enumerate_indices,
     eval_decomposition,
     eval_li,
     eval_mt_direct,
@@ -37,9 +40,11 @@ from tornheim.evaluate import (
     _li_tail,
     _tail_schedule,
     hurwitz_tail,
+    oracle_rows,
     oracle_tail_bound,
     tail_sum,
 )
+from tornheim.verify import _agreement
 
 I = RootOfUnity(1, 4)
 W3 = RootOfUnity(1, 3)
@@ -378,7 +383,10 @@ class TestLiMemos:
         # The oracle is the Li layer's independent check, so it builds its
         # own phases.
         eval_li.cache_clear()
-        eval_mt_direct(MTIndex(1, 1, 2), W3, I, EvalConfig(oracle_cutoff=100))
+        cfg = EvalConfig(oracle_cutoff=100)
+        eval_mt_direct(MTIndex(1, 1, 2), W3, I, cfg)
+        rows = oracle_rows(MTIndex(1, 1, 2), W3, cfg)
+        eval_mt_direct(MTIndex(1, 1, 2), W3, I, cfg, rows=rows)
         memos = evaluate._LI_MEMOS
         assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
 
@@ -633,6 +641,69 @@ class TestOracle:
             b1 = oracle_tail_bound(p, q, r, 1000)
             b2 = oracle_tail_bound(p, q, r, 2000)
             assert 0 < b2 < b1
+
+
+ROOTS_1_TO_4 = sorted({RootOfUnity(k, n) for n in (1, 2, 3, 4) for k in range(n)}, key=RootOfUnity.sort_key)
+
+
+def _bits(v):
+    return repr(v.value), repr(v.error_bound)
+
+
+class TestSharedOracleRows:
+    @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("pqr", [(0, 2, 2), (2, 0, 3), (2, 1, 2)])
+    def test_shared_rows_are_bit_identical(self, cut, pqr):
+        # the rows of one (index, alpha) serve every beta, bit for bit
+        idx, cfg = MTIndex(*pqr), EvalConfig(oracle_cutoff=cut)
+        for alpha in ROOTS_1_TO_4:
+            rows = oracle_rows(idx, alpha, cfg)
+            for beta in ROOTS_1_TO_4:
+                shared = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
+                assert _bits(shared) == _bits(eval_mt_direct(idx, alpha, beta, cfg)), (alpha, beta)
+
+    def test_edge_cutoffs_with_shared_rows(self):
+        # cutoff 1 has no diagonal, cutoff 2 the single term m = n = 1
+        idx = MTIndex(2, 1, 2)
+        empty, one = (
+            eval_mt_direct(idx, MINUS_ONE, ONE, cfg, rows=oracle_rows(idx, MINUS_ONE, cfg))
+            for cfg in (EvalConfig(oracle_cutoff=1), EvalConfig(oracle_cutoff=2))
+        )
+        assert repr(empty.value) == "0j" and empty.error_bound == oracle_tail_bound(2, 1, 2, 1)
+        assert repr(one.value) == "(-0.25+0j)"
+
+    def test_rows_are_read_only(self):
+        rows = oracle_rows(MTIndex(2, 1, 2), I, EvalConfig(oracle_cutoff=40))
+        assert (rows.index, rows.alpha, rows.cutoff, rows.rows.shape) == (MTIndex(2, 1, 2), I, 40, (3, 39))
+        with pytest.raises(ValueError):
+            rows.rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "field, index, alpha, cut",
+        [("index", MTIndex(1, 2, 2), I, 50), ("alpha", MTIndex(2, 1, 2), W3, 50), ("cutoff", MTIndex(2, 1, 2), I, 51)],
+    )
+    def test_rows_of_another_case_are_a_named_error(self, field, index, alpha, cut):
+        rows = oracle_rows(index, alpha, EvalConfig(oracle_cutoff=cut))
+        with pytest.raises(ValueError, match=f"rows were built for {field} "):
+            eval_mt_direct(MTIndex(2, 1, 2), I, W3, EvalConfig(oracle_cutoff=50), rows=rows)
+
+    def test_grid_matches_the_per_case_loop(self):
+        # the grid as it ran before the rows were shared: one whole oracle
+        # call per case
+        cfg = EvalConfig(tolerance=1e-8, oracle_cutoff=1000)
+        ref = []
+        for idx in enumerate_indices(4):
+            for alpha, beta in color_pairs([1, 2, 3, 4]):
+                t0 = time.perf_counter()
+                oracle = eval_mt_direct(idx, alpha, beta, cfg)
+                dec = eval_decomposition(decompose(idx, alpha, beta), cfg)
+                label = f"MT({idx.p},{idx.q},{idx.r};{alpha},{beta})"
+                ref.append(_agreement(label, oracle, dec, t0))
+
+        def key(r):
+            return r.label, r.passed, r.lhs, r.rhs, repr(r.absdiff), repr(r.bound)
+
+        assert [key(r) for r in cross_check_grid(4, [1, 2, 3, 4], cfg)] == [key(r) for r in ref]
 
 
 class TestEvalDecomposition:

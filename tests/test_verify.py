@@ -126,6 +126,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             cross_check_grid(2, [1], FAST)
 
+    def test_repeated_sweeps_share_report_texts(self):
+        first, again = cross_check_grid(3, [1, 2], FAST), cross_check_grid(3, [1, 2], FAST)
+        assert all(a.label is b.label and a.lhs is b.lhs and a.rhs is b.rhs for a, b in zip(first, again))
+
+    def test_report_ms_charges_the_whole_sweep(self):
+        # the oracle rows shared by an (index, alpha)'s cases are timed
+        # inside its first case, so the cases' ms add up to the call's time
+        cfg = EvalConfig(tolerance=1e-8, oracle_cutoff=1000)
+        t0 = time.perf_counter()
+        reports = cross_check_grid(4, [1, 2], cfg)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        assert sum(r.ms for r in reports) >= 0.9 * wall_ms
+
 
 class TestR212:
     def test_all_four_subchecks(self):
