@@ -16,6 +16,7 @@ from .evaluate import EvalConfig, ValueWithError, eval_decomposition, eval_mt_di
 from .verify import (
     Report,
     check_relation,
+    color_pairs,
     cross_check_grid,
     format_report_table,
     load_relations,
@@ -41,6 +42,10 @@ def _orders(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad orders list {text!r}") from None
     if not orders or any(n < 1 for n in orders):
         raise argparse.ArgumentTypeError("orders must be positive integers")
+    try:
+        color_pairs(orders)  # an oversized grid is refused before any work
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return orders
 
 

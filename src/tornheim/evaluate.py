@@ -28,8 +28,7 @@ Summation machinery, bottom up:
   its own phases.
 
 * eval_li(s, t, x, y): sum_{n<=n0} y^n n^(-t) T(s,x,n) is summed directly
-  (T obtained for every n from one tail_sum at n0 plus a reverse running
-  sum, done as numpy arrays that repeat the scalar loop's roundings).  The
+  (T for every n from one tail_sum at n0 plus a reverse running sum).  The
   remainder sum_{n>n0} collapses the same way: substituting the
   Euler-Maclaurin expansion of H into T and re-expanding (n+c)^(-sigma)
   binomially around n turns it into a rapidly convergent combination of
@@ -41,43 +40,41 @@ Summation machinery, bottom up:
   re-expansion runs, with their real weights and stopping majorants,
   depends on (s, t, ord x, n0) but not on the colors: it is built once
   per such key as a schedule of arrays, and each call runs it on its own
-  rungs and phases with the scalar loop's roundings.
+  rungs and phases.  Head and tail multiply complex rows only in
+  _weighted_sum, on real and imaginary rows of doubles, so every Li value
+  and bound has the same bits at every SIMD level numpy dispatches to;
+  tests/data/li_reference.txt checks them against 30 digits.
 
-* Memos under eval_li: the Hurwitz rows above, the ladder tails
-  tail_sum(omega, xy, n0) shared by every shape and color pair with that
-  product, the n^-e tables, the root powers and the tail schedules per
-  (s, t, ord x, n0), shared by every color of that order.  The root
-  powers are the layer's one root-power rule: a table per (root, n)
-  whose column j is root^j, j = 0..n-1.  tail_sum and the tail read x^c
-  at column c of _root_powers(x, ord x + 1); the head reads
-  _root_powers(., n0 + 1) backwards.
-  eval_li's own cache is keyed on (s, t, x, y, n0): max_inner_terms,
-  through n0, is the only config field a value reads.  The memos only
-  skip recomputation; every value and bound is bit for bit what the
-  uncached arithmetic gives.  eval_li.cache_clear() empties them
-  together with eval_li's own cache, so a cleared process recomputes
-  everything a new one would (only the few dozen Euler-Maclaurin
-  coefficients stay), while eval_li.cache_info() counts eval_li's own
-  hits and misses.  hurwitz_tail and tail_sum themselves stay uncached.
-  Memory grows with the distinct inputs seen: O(distinct (s, order, n0)
-  x order) floats for the rows, O(distinct (e, n0) x n0) for the power
-  tables, O(distinct (root, n) x n) for the root powers, one entry per
-  distinct (omega, xy, n0) rung, 2 floats and 3 small integers per
-  j-series term of each distinct schedule, and one entry per distinct
-  eval_li call.  One pass of the benchmark's eval workload holds about
-  3.5 MB of schedules (1246 of them) and 0.2 MB of root powers.
-  tail_sum, eval_li, eval_mt_direct and oracle_rows reject roots of order
-  above MAX_ROOT_ORDER = 2**16 before building anything sized by the order.
+* Memos under eval_li, which only skip recomputation (every value and
+  bound is bit for bit what the uncached arithmetic gives): the Hurwitz
+  rows above; the ladder tails tail_sum(omega, xy, n0), shared by every
+  shape and color pair with that product; the n^-e tables; the root
+  powers, the layer's one root-power rule, a table per (root, n) whose
+  column j is root^j (tail_sum and the tail read x^c at column c of
+  _root_powers(x, ord x + 1), the head reads _root_powers(., n0 + 1)
+  backwards); and the tail schedules per (s, t, ord x, n0).  eval_li's
+  own cache is keyed on (s, t, x, y, n0), n0 being the only config field
+  a value reads.  eval_li.cache_clear() empties all of them (only the
+  Euler-Maclaurin coefficients stay) and eval_li.cache_info() counts
+  eval_li's own calls; hurwitz_tail and tail_sum stay uncached.  Memory
+  grows with the distinct inputs: per distinct key, order floats for a
+  row, n0 for a power table, n for a root-power table, one entry per
+  rung or eval_li call, and 1 float and 2 small integers per j-series
+  term of a schedule.  One pass of the benchmark's eval workload holds
+  about 1.3 MB of schedule arrays (1246 schedules, 126k terms) and
+  0.2 MB of root powers.  tail_sum, eval_li, eval_mt_direct and
+  oracle_rows reject roots of order above MAX_ROOT_ORDER = 2**16 before
+  building anything sized by the order.
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
   truncated double sum of the defining series, with a color-independent
   integral-comparison tail bound.  Each anti-diagonal is one row of a
   sliding-window view of the m^-p table times the column n^-q (times
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
-  Those row sums, oracle_rows, do not depend on beta: a sweep over beta
-  builds them once per (index, alpha) and passes them to each call, which
-  only weights them by beta^k k^-r.  It builds its own phases root^j
-  (j < order) from root_value and reads none of the Li layer's memos.
+  Those row sums, with the k^-r table and the bound (oracle_rows), do not
+  depend on beta: a sweep builds them once per (index, alpha) and each call
+  only weights them by beta^k.  It builds its own phases root^j (j < order)
+  from root_value and reads none of the Li layer's memos.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -146,6 +143,9 @@ MAX_ORACLE_CUTOFF = 2**20
 # oracle_rows: their root-power tables, Hurwitz rows and residue loops all
 # have one entry per residue class mod the order.
 MAX_ROOT_ORDER = 2**16
+
+# Largest number of (alpha, beta) pairs color_pairs builds for a grid.
+MAX_COLOR_PAIRS = 2**16
 
 
 def _check_root_orders(caller: str, **roots: RootOfUnity) -> None:
@@ -254,8 +254,10 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
         raise ValueError(f"Euler-Maclaurin order {order!r} is not {_HEAD_ORDER} or {_LADDER_ORDER}")
     betas, bhat, a_min = _em_params(s, order // 2)
     extra = int(max(0.0, math.ceil(a_min - w)))
+    # Terms from w + j >= 1.01 * 2^(1080/s) on are below 2^-1080: they round to 0.0 and change no fsum.
+    nonzero = range(min(extra, math.ceil(1.01 * 2.0 ** (1080 / s) - w)))
     try:
-        head = fsum((w + j) ** -s for j in range(extra)) if extra else 0.0
+        head = fsum((w + j) ** -s for j in nonzero) if extra else 0.0
     except OverflowError:
         raise ValueError(f"hurwitz_tail: (w+j)^-s at s = {s}, w = {w!r} overflows the double range") from None
     a = w + extra
@@ -328,16 +330,33 @@ def _root_powers(root: RootOfUnity, n: int) -> np.ndarray:
     return table
 
 
+def _weighted_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[complex, float]:
+    """sum_k w_k*a_k*b_k, fsum-combined, and its mass sum_k |w_k*a_k*b_k|.
+
+    The Li layer's one complex product: a and b are complex rows given as
+    (real, imaginary) rows of doubles, w is a real row, and each term is
+    ((ar*br - ai*bi)*w, (ar*bi + ai*br)*w); the mass accumulates in order.
+    Real ufuncs, np.hypot and np.add.accumulate round the same at every
+    SIMD level numpy dispatches to; numpy's complex * and abs do not (with
+    numpy 2.4.6 on AVX-512, 44% of 200k random products differ between
+    NPY_ENABLE_CPU_FEATURES=X86_V2 and the default level).
+    """
+    (ar, ai), (br, bi) = a, b
+    re = (ar * br - ai * bi) * w
+    im = (ar * bi + ai * br) * w
+    mass = float(np.add.accumulate(np.hypot(re, im))[-1])
+    return complex(fsum(re.tolist()), fsum(im.tolist())), mass
+
+
 def _li_head(
     t_n0: complex, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int
 ) -> tuple[complex, float]:
     """sum_{n<=n0} y^n n^(-t) T(s,x,n) and its absolute mass, from T(s,x,n0).
 
-    T(s,x,n) for n < n0 comes from a reverse running sum.  The arrays run
-    over n = n0..1 and both running sums are sequential, so every term is
-    that of the scalar loop ``g = y**n * T * n**-t; T += x**n * n**-s`` up
-    to the sign of a zero part, which np.hypot and fsum drop: the results
-    are bit for bit the loop's.
+    T(s,x,n) for n < n0 comes from a sequential reverse running sum over
+    n = n0..1.  The results are bit for bit those of the scalar loop
+    ``g = y**n * T * n**-t; T += x**n * n**-s`` up to the sign of a zero
+    part, which np.hypot and fsum drop.
     """
     xp, yp = _root_powers(x, n0 + 1)[:, :0:-1], _root_powers(y, n0 + 1)[:, :0:-1]
     fs, ft = _inv_powers(s, n0), _inv_powers(t, n0)
@@ -345,17 +364,11 @@ def _li_head(
     tn[:, 0] = t_n0.real, t_n0.imag
     np.multiply(xp[:, :-1], fs[:-1], out=tn[:, 1:])
     tn = np.add.accumulate(tn, axis=1)
-    a, b = yp * tn, yp * tn[::-1]
-    re = (a[0] - a[1]) * ft
-    im = (b[0] + b[1]) * ft
-    mass = float(np.add.accumulate(np.hypot(re, im))[-1])
-    return complex(fsum(re.tolist()), fsum(im.tolist())), mass
+    return _weighted_sum(yp, tn, ft)
 
 
 @lru_cache(maxsize=None)
-def _tail_schedule(
-    s: int, t: int, nx: int, n0: int
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The tail's j-series for a root x of order nx, without its colors.
 
     Expanding T's Hurwitz pieces asymptotically, then (n+c)^(-sigma)
@@ -363,65 +376,54 @@ def _tail_schedule(
     omega = t + sigma + j in the combined color z = x*y.  Which (sigma, c,
     j) terms run, their real weights and the geometric majorant that stops
     each series depend on (s, t, ord x, n0) only, so the loop below runs
-    once per key and records, in loop order:
-
-    * the rungs omega it reads, sorted;
-    * the signed prefactors: 0.0, then pref*sign = +pref, -pref for each
-      sigma;
-    * a float block of rows cj*binom (the weight of the rung value) and
-      apref*cj*binom (the weight of the rung's bound);
-    * an index block, of the narrowest unsigned type that holds ord x and
-      the rung count, with rows rung index, c (the column of x^c in
-      _root_powers) and signed prefactor index (the weight of x^c times
-      the weighted rung).
+    once per key and records, in loop order: the rungs omega it reads,
+    sorted; the weights w = (-1)^j*pref*c^j*C(sigma+j-1, j) of x^c times
+    the rung value, whose moduli weight the rungs' bounds; and an index
+    block, of the narrowest unsigned type that holds ord x and the rung
+    count, with rows rung index and c (the column of x^c in _root_powers).
 
     Each stopping majorant rides as one more entry on a sentinel rung
-    (index 0) with value 0 and bound 1.0: its bound weight is the majorant,
-    and its zero term changes neither fsum nor the running mass.
+    (index 0, c = 0) with value 0 and bound 1.0: its weight is the
+    majorant, and its zero term changes neither fsum nor the running mass.
     """
     half = _HEAD_ORDER // 2
     betas, _, _ = _em_params(s, half)
     sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
     sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
-    prefs = [0.0]
-    terms = []  # (omega, c, prefs index, cj*binom, apref*cj*binom); omega 0 is the sentinel
+    terms = []  # (omega, c, weight); omega 0 is the sentinel
     nf = float(n0)
     for sigma, coef in sigmas:
         pref = coef * float(nx) ** (sigma - s)
         apref = abs(pref)
-        k = len(prefs)
-        prefs += [pref, -pref]  # pref*sign for even and odd j
         for c in range(1, nx + 1):
-            cj = 1.0  # c^j
-            binom = 1.0  # C(sigma+j-1, j)
+            cj = 1  # c^j, exact
+            binom = 1  # C(sigma+j-1, j), exact
             j = 0
             while True:
-                terms.append((t + sigma + j, c, k + j % 2, cj * binom, apref * cj * binom))
+                terms.append((t + sigma + j, c, (-pref if j % 2 else pref) * float(cj * binom)))
                 j += 1
-                binom *= (sigma + j - 1) / j
+                binom = binom * (sigma + j - 1) // j
                 cj *= c
                 # Geometric majorant on the rest of the j-series; the term
                 # ratio (sigma+j)/(j+1) * c/n0 decreases in j.
                 omega = t + sigma + j
-                lam_cap = cj * nf ** (1 - omega)  # c^j * bound scale, kept paired
+                lam_cap = float(cj) * nf ** (1 - omega)  # c^j * bound scale, kept paired
                 if lam_cap == 0.0:
                     break  # rest is below the subnormal floor
-                major = apref * binom * lam_cap / (omega - 1)
+                major = apref * float(binom) * lam_cap / (omega - 1)
                 ratio = (sigma + j) / (j + 1) * (c / nf)
                 if ratio < 0.5 and major / (1.0 - ratio) < 1e-18:
-                    terms.append((0, 0, 0, 0.0, major / (1.0 - ratio)))
+                    terms.append((0, 0, major / (1.0 - ratio)))
                     break
                 if j > 2000:
                     raise RuntimeError("binomial re-expansion failed to converge")
-    rungs, pos, signed, *weights = zip(*terms)
+    rungs, pos, weights = zip(*terms)
     omegas = sorted(set(rungs) - {0})
     index = {omega: i for i, omega in enumerate([0, *omegas])}
-    prefs, weights = np.array(prefs), np.array(weights)
-    where = np.array(
-        [[index[omega] for omega in rungs], pos, signed], dtype=np.min_scalar_type(max(nx, len(index)))
-    )
-    prefs.flags.writeable = weights.flags.writeable = where.flags.writeable = False
-    return tuple(omegas), prefs, weights, where
+    weights = np.array(weights)
+    where = np.array([[index[omega] for omega in rungs], pos], dtype=np.min_scalar_type(max(nx, len(index))))
+    weights.flags.writeable = where.flags.writeable = False
+    return tuple(omegas), weights, where
 
 
 def _li_tail(
@@ -429,31 +431,25 @@ def _li_tail(
 ) -> tuple[complex, float, float]:
     """The tail sum_{n>n0}, its absolute mass, and bound plus its increments.
 
-    Runs _tail_schedule(s, t, ord x, n0) on this call's rungs and phases.
-    The products spell out CPython's: u = (cj*binom)*lam and g =
-    (pref*sign)*(x^c*u) drop only cross terms with a zero factor, which
-    changes at most the sign of a zero part.  fsum does not depend on
-    the order of its terms, and the bound and mass accumulate in loop
-    order, so the results are bit for bit those of the scalar j-loop.
+    Runs _tail_schedule(s, t, ord x, n0) on this call's rungs lam and
+    phases x^c: the terms are w*(x^c*lam) by _weighted_sum, and the bound
+    increments |w|*(bound of lam) accumulate in loop order.  _li_once's
+    32*eps*mass = 64u*mass covers the terms' roundoff (u = eps/2): w =
+    (+-pref)*fl(c^j*C(sigma+j-1, j)) is within 6u of exact whatever j (the
+    integer rounds once, pref's coef, pow and product 4u, the last product
+    u), x^c within 12u (theta = 2*pi*e/n within 3u*pi, cos and sin within
+    an ulp), and the product's three roundings per part within sqrt(2)*3u.
+    So a term errs by at most 23u of its modulus, and fsum adds u*mass.
     """
-    omegas, prefs, (wu, wb), (rung, pos, signed) = _tail_schedule(s, t, x.order, n0)
+    omegas, w, (rung, pos) = _tail_schedule(s, t, x.order, n0)
     z = root_mul(x, y)
     lams = [_ladder_tail(omega, z, n0) for omega in omegas]
     # Rows real part, imaginary part and bound: the sentinel, then each rung.
     lam = np.array([(0.0, 0.0, 1.0), *((v.value.real, v.value.imag, v.error_bound) for v in lams)])
     lam = lam.T.take(rung, axis=1)
-    xc = _root_powers(x, x.order + 1).take(pos, axis=1)
-    u = wu * lam[:2]
-    a, b = xc * u, xc * u[::-1]
-    wg = prefs.take(signed)
-    re = wg * (a[0] - a[1])
-    im = wg * (b[0] + b[1])
-    mass = float(np.add.accumulate(np.hypot(re, im))[-1])
-    incs = np.empty(len(wb) + 1)  # the bound so far, then this tail's increments
-    incs[0] = bound
-    np.multiply(wb, lam[2], out=incs[1:])
-    bound = float(np.add.accumulate(incs)[-1])
-    return complex(fsum(re.tolist()), fsum(im.tolist())), mass, bound
+    value, mass = _weighted_sum(_root_powers(x, x.order + 1).take(pos, axis=1), lam[:2], w)
+    incs = np.concatenate(([bound], np.abs(w) * lam[2]))  # the bound so far, then the increments
+    return value, mass, float(np.add.accumulate(incs)[-1])
 
 
 def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[complex, float]:
@@ -471,9 +467,8 @@ def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[c
 
     # Remainder of the asymptotic expansion of H inside T, summed over n>n0.
     _, bhat, _ = _em_params(s, half)
-    bound += (
-        float(x.order) ** (2 * half + 2) * bhat * float(n0) ** -(t + s + 2 * half) / (t + s + 2 * half)
-    )
+    e = t + s + 2 * half
+    bound += float(x.order) ** (2 * half + 2) * bhat * float(n0) ** -e / e
 
     value = head + tail
     bound += 32.0 * _EPS * (mass_head + mass_tail + abs(value))
@@ -577,17 +572,21 @@ class OracleRows:
 
     rows is a read-only 3 x (cutoff-1) array: row k-2 of each holds the sum
     over n of diagonal k = m+n of the real part, the imaginary part and the
-    modulus of alpha^n / (m^p n^q).
+    modulus of alpha^n / (m^p n^q).  kf is the read-only k^-r table, k =
+    2..cutoff, and bound the beta-free error bound: the tail bound plus
+    eps*(cutoff+64)*mass, mass = sum_k (modulus row k) * k^-r.
     """
 
     index: MTIndex
     alpha: RootOfUnity
     cutoff: int
     rows: np.ndarray
+    kf: np.ndarray
+    bound: float
 
 
 def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
-    """The oracle's diagonal sums over n, which do not depend on beta or r.
+    """The oracle's diagonal sums over n, its k^-r table and its bound.
 
     A diagonal's sum over n is a row of a read-only sliding-window view of
     the m^-p table contracted with n^-q alpha^n by numpy's einsum loop,
@@ -616,7 +615,11 @@ def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CO
             for row, col in zip(rows, cols):
                 row[i0:i1] = np.einsum("ij,j->i", block, col[:i1])
     rows.flags.writeable = False
-    return OracleRows(index, alpha, cut, rows)
+    kf = _neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r)
+    kf.flags.writeable = False
+    mass = fsum((rows[2] * kf).tolist())
+    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
+    return OracleRows(index, alpha, cut, rows, kf, bound)
 
 
 def eval_mt_direct(
@@ -635,9 +638,9 @@ def eval_mt_direct(
     order.  A sweep over beta may pass the rows of its (index, alpha) to
     every call: the value and bound are bit for bit those of the call
     without them.  Rows built for another index, alpha or cutoff are a
-    ValueError naming the field.  The bound is the color-independent
-    absolute tail plus eps*(cutoff+64)*mass, which covers any summation
-    order within a diagonal.
+    ValueError naming the field.  The bound, the rows' own, is the
+    color-independent absolute tail plus eps*(cutoff+64)*mass, which
+    covers any summation order within a diagonal.
     """
     _check_root_orders("eval_mt_direct", alpha=alpha, beta=beta)
     cut = cfg.oracle_cutoff
@@ -648,14 +651,10 @@ def eval_mt_direct(
         if got != want:
             raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
     beta_j = np.array([root_value(beta**j) for j in range(beta.order)])
-    ks = np.arange(2, cut + 1)
-    kf = _neg_int_pow(ks.astype(np.float64), index.r)
-    re, im, mod = rows.rows
-    contrib = (re + 1j * im) * beta_j[ks % beta.order] * kf
+    re, im, _ = rows.rows
+    contrib = (re + 1j * im) * beta_j[np.arange(2, cut + 1) % beta.order] * rows.kf
     value = complex(fsum(contrib.real.tolist()), fsum(contrib.imag.tolist()))
-    mass = fsum((mod * kf).tolist())
-    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
-    return ValueWithError(value, bound)
+    return ValueWithError(value, rows.bound)
 
 
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:

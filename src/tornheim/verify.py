@@ -12,6 +12,7 @@ NAME(int, ...[; root, root]), with roots read by RootOfUnity.parse.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import time
@@ -25,6 +26,7 @@ from .algebra import MINUS_ONE, ONE, RootOfUnity
 from .decompose import EulerTerm, LiTerm, MTIndex, decompose, r_decomposition
 from .evaluate import (
     DEFAULT_CONFIG,
+    MAX_COLOR_PAIRS,
     EvalConfig,
     ValueWithError,
     eval_decomposition,
@@ -206,6 +208,23 @@ def enumerate_indices(max_weight: int) -> list[MTIndex]:
 
 
 def color_pairs(orders: list[int]) -> list[tuple[RootOfUnity, RootOfUnity]]:
+    """Every (alpha, beta) over the distinct roots of the given orders.
+
+    More than MAX_COLOR_PAIRS pairs is a ValueError, raised before any root
+    is built: the N-th roots alone give N^2 pairs, and below that bound the
+    distinct roots are counted as the sum of phi(d) over the divisors d of
+    the orders.
+    """
+    distinct = set(orders)
+    top = max(distinct, default=1)
+    pairs = top * top
+    if pairs <= MAX_COLOR_PAIRS:
+        divisors = {d for n in distinct for d in range(1, n + 1) if n % d == 0}
+        pairs = sum(math.gcd(k, d) == 1 for d in divisors for k in range(d)) ** 2
+    if pairs > MAX_COLOR_PAIRS:
+        raise ValueError(
+            f"color_pairs: orders up to {top} give more than MAX_COLOR_PAIRS = 2**16 color pairs"
+        )
     roots = {RootOfUnity(k, n) for n in orders for k in range(n)}
     ordered = sorted(roots, key=RootOfUnity.sort_key)
     return [(a, b) for a in ordered for b in ordered]

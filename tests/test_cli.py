@@ -176,6 +176,15 @@ def test_overflowing_rung_exits_2_without_traceback(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_refuses_an_oversized_color_grid(capsys):
+    # The order-20000 grid would hold 4e8 color pairs; it used to end in a
+    # MemoryError traceback after the fixtures and R(2,1,2) had run.
+    assert run(["verify", "--grid-weight", "3", "--orders", "20000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --orders: color_pairs: " in err
+    assert "MAX_COLOR_PAIRS = 2**16" in err and "Traceback" not in err
+
+
 def test_verify_bad_fixture_file_names_the_line(tmp_path, capsys):
     bad = tmp_path / "fx.txt"
     bad.write_text("R(1,1,3) = z(-4,-1) + z(4,-1)\n# comment\nR(2,1,2) = 2 z(3,2)\n", encoding="utf-8")

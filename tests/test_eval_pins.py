@@ -4,6 +4,9 @@ The data was written by data/make_eval_pins.py.  Work that only speeds the
 Li layer up (caching, table lookups, vectorised loops) must reproduce each
 repr exactly, whether the caches are cold or warm.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,55 @@ def test_values_and_bounds_match_pins_bit_for_bit(cold):
         if got != tuple(fields[-2:]):
             mismatches.append((" ".join(fields[:-2]), got, tuple(fields[-2:])))
     assert not mismatches
+
+
+# Prints a hash of numpy's own complex * on fixed data, then every pin and
+# one oracle value, one line each.
+_BITS = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_eval_pins import _cases, _evaluate
+from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct
+
+z = np.random.default_rng(0).standard_normal((4, 4096))
+print(hashlib.sha256(((z[0] + 1j * z[1]) * (z[2] + 1j * z[3])).tobytes()).hexdigest())
+for fields in _cases():
+    v = _evaluate(fields)
+    print(repr(v.value), repr(v.error_bound))
+v = eval_mt_direct(MTIndex(1, 2, 3), RootOfUnity(1, 4), RootOfUnity(1, 3), EvalConfig(oracle_cutoff=12000))
+print(repr(v.value), repr(v.error_bound))
+"""
+
+
+def _bits_at(features: str | None) -> subprocess.Popen:
+    unset = ("NPY_ENABLE_CPU_FEATURES", "NPY_DISABLE_CPU_FEATURES")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    if features:
+        env["NPY_ENABLE_CPU_FEATURES"] = features
+    script = [sys.executable, "-c", _BITS, str(Path(__file__).parent)]
+    return subprocess.Popen(script, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_pins_and_oracle_have_the_same_bits_at_every_simd_level():
+    # numpy picks its SIMD loops at import; X86_V2 leaves out AVX2, FMA and
+    # AVX-512.  The sentinel shows that the two levels really run different
+    # complex loops, so equal pins mean the Li layer does not depend on them.
+    default, baseline = _bits_at(None), _bits_at("X86_V2")
+    try:
+        (out, err), (baseline_out, baseline_err) = (p.communicate(timeout=300) for p in (default, baseline))
+    finally:
+        default.kill()
+        baseline.kill()
+    assert default.returncode == 0, err
+    if baseline.returncode != 0:
+        pytest.skip(f"numpy refused NPY_ENABLE_CPU_FEATURES=X86_V2: {baseline_err.strip()[-200:]}")
+    sentinel, *bits = out.splitlines()
+    baseline_sentinel, *baseline_bits = baseline_out.splitlines()
+    if sentinel == baseline_sentinel:
+        pytest.skip(
+            "numpy's complex * rounds alike at X86_V2 and the default level"
+            " (older numpy feature names, or a CPU without FMA)"
+        )
+    assert len(bits) == len(_cases()) + 1
+    assert bits == baseline_bits

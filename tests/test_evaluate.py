@@ -26,7 +26,6 @@ from tornheim import (
     eval_li,
     eval_mt_direct,
     pi_const,
-    root_mul,
     verify_r212,
     zeta_const,
 )
@@ -37,7 +36,6 @@ from tornheim.evaluate import (
     _hurwitz_row,
     _li_head,
     _li_once,
-    _li_tail,
     _tail_schedule,
     hurwitz_tail,
     oracle_rows,
@@ -456,78 +454,6 @@ class TestLiMemos:
         head, mass = _li_head(t_n0, s, t, x, y, n0)
         ref_head, ref_mass = _scalar_head(t_n0, s, t, x, y, n0)
         assert repr(head) == repr(ref_head) and repr(mass) == repr(ref_mass)
-
-
-def _scalar_tail(s, t, x, y, n0, bound):
-    """The tail's j-series as one plain scalar loop, the reference for _li_tail."""
-    nx = x.order
-    z = root_mul(x, y)
-    half = evaluate._HEAD_ORDER // 2
-    betas, bhat, _ = evaluate._em_params(s, half)
-    sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
-    sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
-
-    lam = {}
-
-    def lam_at(omega):
-        got = lam.get(omega)
-        if got is None:
-            got = lam[omega] = evaluate._ladder_tail(omega, z, n0)
-        return got
-
-    nf = float(n0)
-    tre, tim = [], []
-    mass_tail = 0.0
-    for sigma, coef in sigmas:
-        pref = coef * float(nx) ** (sigma - s)
-        apref = abs(pref)
-        for c in range(1, nx + 1):
-            xc = (x**c).value()
-            cj = 1.0  # c^j
-            binom = 1.0  # C(sigma+j-1, j)
-            sign = 1.0
-            j = 0
-            while True:
-                lv = lam_at(t + sigma + j)
-                u = (cj * binom) * lv.value
-                g = (pref * sign) * (xc * u)
-                tre.append(g.real)
-                tim.append(g.imag)
-                mass_tail += abs(g)
-                bound += apref * cj * binom * lv.error_bound
-                j += 1
-                sign = -sign
-                binom *= (sigma + j - 1) / j
-                cj *= c
-                omega = t + sigma + j
-                lam_cap = cj * nf ** (1 - omega)
-                if lam_cap == 0.0:
-                    break
-                major = apref * binom * lam_cap / (omega - 1)
-                ratio = (sigma + j) / (j + 1) * (c / nf)
-                if ratio < 0.5 and major / (1.0 - ratio) < 1e-18:
-                    bound += major / (1.0 - ratio)
-                    break
-                if j > 2000:
-                    raise RuntimeError("binomial re-expansion failed to converge")
-    return complex(math.fsum(tre), math.fsum(tim)), mass_tail, bound
-
-
-class TestArrayTail:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 12, 24])
-    def test_array_tail_equals_scalar_loop(self, order):
-        # Every root x of the order, at the default head length and at the
-        # cap 2*order+1, whose j-series are the longest.  The starting bound
-        # is a head bound's size, so the order of the additions shows.
-        xs = [RootOfUnity(k, order) for k in range(order) if math.gcd(k, order) == 1]
-        ys = [ONE, I, RootOfUnity(7, 24)]
-        for n0 in (max(128, 16 * order), 2 * order + 1):
-            for s, t in [(2, 1), (3, 2), (5, 1), (4, 4), (10, 10), (19, 1)]:
-                for x in xs:
-                    for y in ys:
-                        got = _li_tail(s, t, x, y, n0, 3.1e-15)
-                        ref = _scalar_tail(s, t, x, y, n0, 3.1e-15)
-                        assert repr(got) == repr(ref), (s, t, x, y, n0)
 
 
 class TestOracle:

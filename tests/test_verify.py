@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from tornheim import (
     verify_fixtures,
     verify_r212,
 )
+from tornheim.evaluate import MAX_COLOR_PAIRS
 from tornheim.verify import format_report_table, parse_fixture_line, reports_to_json
 
 FAST = EvalConfig(oracle_cutoff=1200)
@@ -93,6 +95,29 @@ class TestGrid:
         assert len(color_pairs([1, 2])) == 4
         assert len(color_pairs([1, 2, 3, 4])) == 36
         assert len(color_pairs([4])) == 16
+
+    def test_pair_limit_allocates_nothing(self):
+        # Order 20000 alone gives 4e8 pairs.  Orders 200 and 199 pass the
+        # N^2 check but share only the root 1: 398 roots, 158404 pairs.
+        tracemalloc.start()
+        try:
+            for orders in ([20000], [1, 2, 20000], [200, 199]):
+                with pytest.raises(ValueError, match=r"MAX_COLOR_PAIRS = 2\*\*16"):
+                    color_pairs(orders)
+            with pytest.raises(ValueError, match=r"MAX_COLOR_PAIRS = 2\*\*16"):
+                cross_check_grid(3, [20000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_pair_limit_counts_distinct_roots(self):
+        assert len(color_pairs([256])) == len(color_pairs([2, 128, 256])) == MAX_COLOR_PAIRS
+        with pytest.raises(ValueError, match="MAX_COLOR_PAIRS"):
+            color_pairs([256, 3])
+        for orders in ([1, 2, 3, 4], list(range(1, 25)), [12, 18], [199, 1]):
+            roots = {RootOfUnity(k, n) for n in orders for k in range(n)}
+            assert len(color_pairs(orders)) == len(roots) ** 2
 
     def test_color_pairs_deduplicated(self):
         roots = {a for a, _ in color_pairs([2, 4])}
