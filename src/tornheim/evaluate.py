@@ -73,8 +73,14 @@ Summation machinery, bottom up:
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
   Those row sums, with the k^-r table and the bound (oracle_rows), do not
   depend on beta: a sweep builds them once per (index, alpha) and each call
-  only weights them by beta^k.  It builds its own phases root^j (j < order)
-  from root_value and reads none of the Li layer's memos.
+  only weights them by beta^k.  The modulus row, the k^-r table and the
+  bound do not depend on alpha either, so OracleRows.recolor shares them
+  across an index's alphas.  Exact arithmetic fixes the other rows at
+  alpha = 1 (real row = modulus row, imaginary row zeros), the imaginary
+  row at alpha = -1 (zeros), and both rows of a conjugate right after its
+  root (real row and 0.0 - imaginary row), so only the rows it leaves open
+  are contracted, with the bits of a contraction.  It builds its own phases
+  root^j (j < order) from root_value and reads none of the Li layer's memos.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -566,23 +572,117 @@ def oracle_tail_bound(p: int, q: int, r: int, cutoff: int) -> float:
     return piece(p, q) + piece(q, p)
 
 
+def _contract(window: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """One oracle row: entry k-2 is sum_n window[k-2, n-1] * col[n-1].
+
+    Each block of _ORACLE_BLOCK diagonals is contracted by numpy's einsum
+    loop, without BLAS and in an unspecified but fixed order.  Every row the
+    oracle sums passes through here; the result is read-only.
+    """
+    size = len(col)
+    row = np.empty(size)
+    for i0 in range(0, size, _ORACLE_BLOCK):
+        i1 = min(i0 + _ORACLE_BLOCK, size)
+        row[i0:i1] = np.einsum("ij,j->i", window[i0:i1, :i1], col[:i1])
+    row.flags.writeable = False
+    return row
+
+
+@dataclass(frozen=True, eq=False)
+class _AlphaFree:
+    """What the oracle needs of one (index, cutoff) whatever alpha is.
+
+    window is the read-only sliding-window view of the m^-p table whose row
+    k-2 is diagonal k: window[k-2, n-1] = (k-n)^-p for n < k, else 0.  b is
+    the n^-q column, mod the modulus row sum_n (k-n)^-p n^-q, kf the k^-r
+    table (k = 2..cutoff) and bound the beta-free error bound: the tail
+    bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r.
+    """
+
+    index: MTIndex
+    cutoff: int
+    window: np.ndarray
+    b: np.ndarray
+    mod: np.ndarray
+    kf: np.ndarray
+    bound: float
+
+    @classmethod
+    def build(cls, index: MTIndex, cut: int) -> _AlphaFree:
+        ns = np.arange(1, cut, dtype=np.float64)
+        a = _neg_int_pow(ns, index.p)
+        b = _neg_int_pow(ns, index.q)
+        zr = np.concatenate((a[::-1], np.zeros(max(cut - 2, 0))))
+        window = np.lib.stride_tricks.sliding_window_view(zr, cut - 1)[::-1]
+        mod = _contract(window, b)
+        kf = _neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r)
+        kf.flags.writeable = False
+        mass = fsum((mod * kf).tolist())
+        bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
+        return cls(index, cut, window, b, mod, kf, bound)
+
+
 @dataclass(frozen=True, eq=False)
 class OracleRows:
     """The beta-free part of eval_mt_direct for one (index, alpha, cutoff).
 
     rows is a read-only 3 x (cutoff-1) array: row k-2 of each holds the sum
     over n of diagonal k = m+n of the real part, the imaginary part and the
-    modulus of alpha^n / (m^p n^q).  kf is the read-only k^-r table, k =
-    2..cutoff, and bound the beta-free error bound: the tail bound plus
-    eps*(cutoff+64)*mass, mass = sum_k (modulus row k) * k^-r.
+    modulus of alpha^n / (m^p n^q).  complex_row is rows[0] + 1j*rows[1],
+    formed once for every beta.  The modulus row, the k^-r table kf and the
+    bound (the tail bound plus eps*(cutoff+64)*mass, mass = sum_k (modulus
+    row k) * k^-r) do not depend on alpha: they live in the alpha-free part,
+    which recolor shares.
     """
 
-    index: MTIndex
+    free: _AlphaFree
     alpha: RootOfUnity
-    cutoff: int
     rows: np.ndarray
-    kf: np.ndarray
-    bound: float
+    complex_row: np.ndarray
+
+    index = property(lambda self: self.free.index)
+    cutoff = property(lambda self: self.free.cutoff)
+    kf = property(lambda self: self.free.kf)
+    bound = property(lambda self: self.free.bound)
+
+    @classmethod
+    def _colored(cls, free: _AlphaFree, alpha: RootOfUnity, prev: OracleRows | None = None) -> OracleRows:
+        """The rows of alpha, contracting only what exact arithmetic leaves open.
+
+        root_value gives exact axis points and exactly conjugate doubles, so:
+        at alpha = 1 the real row is the modulus row and the imaginary row
+        zeros; at alpha = -1 only the real row is contracted; right after
+        prev = conj(alpha) the rows are prev's real row and 0.0 - prev's
+        imaginary row, because every product of that row's contraction is
+        negated exactly and so is its sum.  Not -im: a diagonal that cancels
+        to +0.0 must stay +0.0, as its own contraction gives it, where -im
+        would give -0.0.  Any other alpha contracts both rows.
+        """
+        zeros = np.zeros(free.cutoff - 1)
+        if alpha.order == 1:
+            re, im = free.mod, zeros
+        elif prev is not None and alpha == prev.alpha.conjugate():
+            re, im = prev.rows[0], 0.0 - prev.rows[1]
+        else:
+            # alpha^j for j < order, built here: the oracle reads no Li-layer memo.
+            alpha_j = np.array([root_value(alpha**j) for j in range(alpha.order)])
+            phase = alpha_j[np.arange(1, free.cutoff) % alpha.order]
+            re = _contract(free.window, phase.real * free.b)
+            im = zeros if alpha.order == 2 else _contract(free.window, phase.imag * free.b)
+        rows = np.stack((re, im, free.mod))
+        rows.flags.writeable = False
+        complex_row = re + 1j * im
+        complex_row.flags.writeable = False
+        return cls(free, alpha, rows, complex_row)
+
+    def recolor(self, alpha: RootOfUnity) -> OracleRows:
+        """The rows of the same index and cutoff for another alpha.
+
+        Shares the alpha-free part, and derives a conjugate's rows from
+        these without a contraction; the bits are those of oracle_rows.
+        """
+        _check_root_orders("OracleRows.recolor", alpha=alpha)
+        return self if alpha == self.alpha else self._colored(self.free, alpha, self)
 
 
 def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
@@ -590,36 +690,13 @@ def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CO
 
     A diagonal's sum over n is a row of a read-only sliding-window view of
     the m^-p table contracted with n^-q alpha^n by numpy's einsum loop,
-    without BLAS and in an unspecified but fixed order.  Scratch memory is
-    O(cutoff), time O(cutoff^2).
+    without BLAS and in an unspecified but fixed order.  The modulus row is
+    always contracted; alpha = 1 contracts nothing else, alpha = -1 only the
+    real row, any other alpha the real and imaginary rows (OracleRows).
+    Scratch memory is O(cutoff), time O(cutoff^2) per row.
     """
     _check_root_orders("oracle_rows", alpha=alpha)
-    cut = cfg.oracle_cutoff
-    size = cut - 1
-    rows = np.empty((3, size))
-    if size:
-        ns = np.arange(1, cut, dtype=np.float64)
-        a = _neg_int_pow(ns, index.p)
-        b = _neg_int_pow(ns, index.q)
-        # alpha^j for j < order, built here: the oracle reads no Li-layer memo.
-        alpha_j = np.array([root_value(alpha**j) for j in range(alpha.order)])
-        phase = alpha_j[np.arange(1, cut) % alpha.order]
-        cols = (phase.real * b, phase.imag * b, b)
-
-        # Row k-2 of v is diagonal k: v[k-2, n-1] = (k-n)^-p for n < k, else 0.
-        zr = np.concatenate((a[::-1], np.zeros(size - 1)))
-        v = np.lib.stride_tricks.sliding_window_view(zr, size)[::-1]
-        for i0 in range(0, size, _ORACLE_BLOCK):
-            i1 = min(i0 + _ORACLE_BLOCK, size)
-            block = v[i0:i1, :i1]
-            for row, col in zip(rows, cols):
-                row[i0:i1] = np.einsum("ij,j->i", block, col[:i1])
-    rows.flags.writeable = False
-    kf = _neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r)
-    kf.flags.writeable = False
-    mass = fsum((rows[2] * kf).tolist())
-    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
-    return OracleRows(index, alpha, cut, rows, kf, bound)
+    return OracleRows._colored(_AlphaFree.build(index, cfg.oracle_cutoff), alpha)
 
 
 def eval_mt_direct(
@@ -651,8 +728,12 @@ def eval_mt_direct(
         if got != want:
             raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
     beta_j = np.array([root_value(beta**j) for j in range(beta.order)])
-    re, im, _ = rows.rows
-    contrib = (re + 1j * im) * beta_j[np.arange(2, cut + 1) % beta.order] * rows.kf
+    # Bound to a name, the phases are no temporary that numpy could reuse as
+    # the product's output (it does so from 256 KiB on, cutoff > 16384) by
+    # swapping the operands: numpy's complex * is not commutative bit for
+    # bit at every SIMD level, so the rows stay the left operand.
+    phases = beta_j[np.arange(2, cut + 1) % beta.order]
+    contrib = rows.complex_row * phases * rows.kf
     value = complex(fsum(contrib.real.tolist()), fsum(contrib.imag.tolist()))
     return ValueWithError(value, rows.bound)
 

@@ -236,9 +236,15 @@ def cross_check_grid(
     """Oracle vs decomposition on every index/color case, combined bounds.
 
     The pairs run alpha-major, so the oracle's beta-free rows are built once
-    per (index, alpha) and shared by every beta.  They are built inside the
-    timed window of that (index, alpha)'s first case, whose Report.ms
-    carries them; every ms of the sweep is charged to some case.
+    per (index, alpha) and shared by every beta.  The first alpha of an
+    index builds them with oracle_rows, the alpha-free modulus row, k^-r
+    table and bound included; each later alpha recolors the rows it follows
+    (OracleRows.recolor), sharing that alpha-free part, and a conjugate
+    following its alpha contracts nothing.  Rows are built inside the timed
+    window of their (index, alpha)'s first case: the index's first case
+    carries the alpha-free part and its alpha's rows in its Report.ms, the
+    first case of each later alpha that alpha's rows only.  Every ms of the
+    sweep is charged to some case.
     """
     if max_weight < 3:
         raise ValueError("max_weight must be >= 3")
@@ -248,8 +254,7 @@ def cross_check_grid(
         rows = None
         for alpha, beta in pairs:
             t0 = time.perf_counter()
-            if rows is None or rows.alpha != alpha:
-                rows = oracle_rows(idx, alpha, cfg)
+            rows = oracle_rows(idx, alpha, cfg) if rows is None else rows.recolor(alpha)
             oracle = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
             dec = eval_decomposition(decompose(idx, alpha, beta), cfg)
             label = f"MT({idx.p},{idx.q},{idx.r};{alpha},{beta})"

@@ -632,6 +632,109 @@ class TestSharedOracleRows:
         assert [key(r) for r in cross_check_grid(4, [1, 2, 3, 4], cfg)] == [key(r) for r in ref]
 
 
+ROOTS_1_TO_12 = sorted({RootOfUnity(k, n) for n in range(1, 13) for k in range(n)}, key=RootOfUnity.sort_key)
+# The same colors with each conjugate before its root.
+ROOTS_1_TO_12_CONJUGATE_FIRST = sorted(ROOTS_1_TO_12, key=lambda a: (a.order, -a.exponent))
+ROW_CLASS_INDICES = [(1, 1, 2), (2, 2, 3), (0, 2, 2), (2, 0, 3), (3, 1, 2), (0, 1, 2)]
+
+
+def _three_contractions(index, alpha, cut):
+    """The oracle rows as one loop makes them: the real, imaginary and
+    modulus rows each contracted, whatever alpha is."""
+    size = cut - 1
+    rows = np.empty((3, size))
+    if size:
+        ns = np.arange(1, cut, dtype=np.float64)
+        a, b = evaluate._neg_int_pow(ns, index.p), evaluate._neg_int_pow(ns, index.q)
+        alpha_j = np.array([(alpha**j).value() for j in range(alpha.order)])
+        phase = alpha_j[np.arange(1, cut) % alpha.order]
+        zr = np.concatenate((a[::-1], np.zeros(size - 1)))
+        v = np.lib.stride_tricks.sliding_window_view(zr, size)[::-1]
+        for i0 in range(0, size, evaluate._ORACLE_BLOCK):
+            i1 = min(i0 + evaluate._ORACLE_BLOCK, size)
+            for row, col in zip(rows, (phase.real * b, phase.imag * b, b)):
+                row[i0:i1] = np.einsum("ij,j->i", v[i0:i1, :i1], col[:i1])
+    return rows
+
+
+class TestOracleRowClasses:
+    # Rows that exact arithmetic fixes (alpha = 1, alpha = -1, a conjugate
+    # right after its root) are not contracted; they must still be bit for
+    # bit, signed zeros included, the rows that three contractions give.
+    @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("pqr", ROW_CLASS_INDICES)
+    def test_rows_equal_three_contractions_byte_for_byte(self, pqr, cut):
+        idx, cfg = MTIndex(*pqr), EvalConfig(oracle_cutoff=cut)
+        want = {alpha: _three_contractions(idx, alpha, cut) for alpha in ROOTS_1_TO_12}
+        for alpha in ROOTS_1_TO_12:
+            assert oracle_rows(idx, alpha, cfg).rows.tobytes() == want[alpha].tobytes(), alpha
+        for colors in (ROOTS_1_TO_12, ROOTS_1_TO_12_CONJUGATE_FIRST):
+            rows = oracle_rows(idx, colors[0], cfg)
+            for alpha in colors:
+                rows = rows.recolor(alpha)
+                re, im, _ = want[alpha]
+                assert rows.rows.tobytes() == want[alpha].tobytes(), alpha
+                assert rows.complex_row.tobytes() == (re + 1j * im).tobytes(), alpha
+
+    def test_a_conjugate_row_keeps_the_zeros_of_exact_cancellation(self):
+        # For p = q the imaginary row cancels to +0.0 on some diagonals;
+        # plain negation would make those -0.0, 0.0 - im keeps them.
+        idx, cut = MTIndex(2, 2, 3), 17
+        im, conj_im = (_three_contractions(idx, a, cut)[1] for a in (W3, W3.conjugate()))
+        assert (-im).tobytes() != conj_im.tobytes()
+        assert (0.0 - im).tobytes() == conj_im.tobytes()
+
+    def test_recolor_shares_the_alpha_free_part(self):
+        rows = oracle_rows(MTIndex(2, 1, 2), I, EvalConfig(oracle_cutoff=40))
+        other = rows.recolor(W3)
+        assert (other.index, other.alpha, other.cutoff) == (MTIndex(2, 1, 2), W3, 40)
+        assert other.free is rows.free and other.kf is rows.kf and other.bound == rows.bound
+        assert rows.recolor(I) is rows
+        with pytest.raises(ValueError):
+            other.complex_row[0] = 1.0
+        with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
+            rows.recolor(RootOfUnity(1, MAX_ROOT_ORDER + 1))
+
+    def test_beta_weighting_keeps_the_rows_the_left_operand(self):
+        # From cutoff 16385 on, numpy may reuse a temporary operand of 256 KiB
+        # as the product's output, swapping the operands when it is the right
+        # one; its complex * is not commutative bit for bit at every SIMD
+        # level.  The value is that of the rows times beta^k times k^-r.
+        idx, alpha, beta, cut = MTIndex(0, 6, 2), RootOfUnity(5, 6), RootOfUnity(7, 12), 20000
+        re, im, _ = _three_contractions(idx, alpha, cut)
+        beta_j = np.array([(beta**j).value() for j in range(beta.order)])
+        kf = evaluate._neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), idx.r)
+        contrib = (re + 1j * im) * beta_j[np.arange(2, cut + 1) % beta.order] * kf
+        want = complex(math.fsum(contrib.real.tolist()), math.fsum(contrib.imag.tolist()))
+        assert repr(eval_mt_direct(idx, alpha, beta, EvalConfig(oracle_cutoff=cut)).value) == repr(want)
+
+    @pytest.fixture
+    def contracted(self, monkeypatch):
+        count = [0]
+        contract = evaluate._contract
+
+        def counting(window, col):
+            count[0] += 1
+            return contract(window, col)
+
+        monkeypatch.setattr(evaluate, "_contract", counting)
+        return count
+
+    def test_grid_contracts_six_rows_per_index(self, contracted):
+        # per index: the modulus row, none for 1, the real row for -1, and
+        # two each for e^{2 pi i/3} and i, none for their conjugates
+        cross_check_grid(4, [1, 2, 3, 4], EvalConfig(tolerance=1e-8, oracle_cutoff=1000))
+        assert contracted[0] == 66 == 6 * len(enumerate_indices(4))
+
+    def test_r212_contracts_the_modulus_and_real_rows(self, contracted):
+        verify_r212()
+        assert contracted[0] == 2
+
+    def test_alpha_one_contracts_the_modulus_row_only(self, contracted):
+        eval_mt_direct(MTIndex(2, 1, 2), ONE, I, EvalConfig(oracle_cutoff=100))
+        assert contracted[0] == 1
+
+
 class TestEvalDecomposition:
     def test_r212_decomposition_value(self):
         d = decompose(MTIndex(2, 1, 2), MINUS_ONE, ONE)
