@@ -73,14 +73,20 @@ Summation machinery, bottom up:
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
   Those row sums, with the k^-r table and the bound (oracle_rows), do not
   depend on beta: a sweep builds them once per (index, alpha) and each call
-  only weights them by beta^k.  The modulus row, the k^-r table and the
+  only weights them by beta^k.  beta^k depends on k mod ord beta alone, so
+  a call sums the k^-r-weighted real and imaginary rows per residue class,
+  sequentially in k, and combines the class sums with real products of
+  beta^c in one fsum per part.  The modulus row, the k^-r table and the
   bound do not depend on alpha either, so OracleRows.recolor shares them
   across an index's alphas.  Exact arithmetic fixes the other rows at
   alpha = 1 (real row = modulus row, imaginary row zeros), the imaginary
   row at alpha = -1 (zeros), and both rows of a conjugate right after its
   root (real row and 0.0 - imaginary row), so only the rows it leaves open
   are contracted, with the bits of a contraction.  It builds its own phases
-  root^j (j < order) from root_value and reads none of the Li layer's memos.
+  root^j from root_value, only for the j that cutoff reaches, and reads
+  none of the Li layer's memos.  After the rows it multiplies and adds
+  only reals, so its values, like the Li layer's, have the same bits at
+  every SIMD level.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -91,14 +97,16 @@ sqrt(5)*u*|ab| worst case of a complex product (Brent, Percival,
 Zimmermann, Math. Comp. 76 (2007)).
 
 Compensated summation: math.fsum (exactly rounded) combines all scalar
-series and the oracle's diagonal subtotals, in order.  The oracle sums the
+series and the oracle's beta-weighted class sums.  The oracle sums the
 terms within a diagonal with numpy's own einsum loop, never BLAS, in an
-unspecified order that is fixed for a given cutoff and numpy build, so its
-results are deterministic and do not change with the BLAS thread count.
-The roundoff allowance eps*(cutoff+64)*mass still covers that order:
-recursive summation of n terms in any order errs by at most gamma_(n-1)
-times their absolute sum (Higham, Accuracy and Stability of Numerical
-Algorithms, 4.2).
+unspecified order that is fixed for a given cutoff and numpy build, and
+the diagonals of each residue class mod ord beta one after the other in
+k order (np.bincount), so its results are deterministic and do not
+change with the BLAS thread count.  Recursive summation of n terms in any
+order errs by at most gamma_(n-1) times their absolute sum (Higham,
+Accuracy and Stability of Numerical Algorithms, 4.2); eval_mt_direct
+derives from that that the roundoff allowance eps*(cutoff+64)*mass covers
+both orders.
 """
 from __future__ import annotations
 
@@ -628,17 +636,15 @@ class OracleRows:
 
     rows is a read-only 3 x (cutoff-1) array: row k-2 of each holds the sum
     over n of diagonal k = m+n of the real part, the imaginary part and the
-    modulus of alpha^n / (m^p n^q).  complex_row is rows[0] + 1j*rows[1],
-    formed once for every beta.  The modulus row, the k^-r table kf and the
-    bound (the tail bound plus eps*(cutoff+64)*mass, mass = sum_k (modulus
-    row k) * k^-r) do not depend on alpha: they live in the alpha-free part,
-    which recolor shares.
+    modulus of alpha^n / (m^p n^q).  The modulus row, the k^-r table kf and
+    the bound (the tail bound plus eps*(cutoff+64)*mass, mass = sum_k
+    (modulus row k) * k^-r) do not depend on alpha: they live in the
+    alpha-free part, which recolor shares.
     """
 
     free: _AlphaFree
     alpha: RootOfUnity
     rows: np.ndarray
-    complex_row: np.ndarray
 
     index = property(lambda self: self.free.index)
     cutoff = property(lambda self: self.free.cutoff)
@@ -664,16 +670,15 @@ class OracleRows:
         elif prev is not None and alpha == prev.alpha.conjugate():
             re, im = prev.rows[0], 0.0 - prev.rows[1]
         else:
-            # alpha^j for j < order, built here: the oracle reads no Li-layer memo.
-            alpha_j = np.array([root_value(alpha**j) for j in range(alpha.order)])
+            # alpha^j for the j = n mod order that n < cutoff reaches, built
+            # here: the oracle reads no Li-layer memo.
+            alpha_j = np.array([root_value(alpha**j) for j in range(min(alpha.order, free.cutoff))])
             phase = alpha_j[np.arange(1, free.cutoff) % alpha.order]
             re = _contract(free.window, phase.real * free.b)
             im = zeros if alpha.order == 2 else _contract(free.window, phase.imag * free.b)
         rows = np.stack((re, im, free.mod))
         rows.flags.writeable = False
-        complex_row = re + 1j * im
-        complex_row.flags.writeable = False
-        return cls(free, alpha, rows, complex_row)
+        return cls(free, alpha, rows)
 
     def recolor(self, alpha: RootOfUnity) -> OracleRows:
         """The rows of the same index and cutoff for another alpha.
@@ -711,13 +716,55 @@ def eval_mt_direct(
     Sums all (m, n) with m+n <= cfg.oracle_cutoff, one anti-diagonal
     k = m+n at a time: the diagonal's sum over n comes from
     oracle_rows(index, alpha, cfg), built here when rows is None, and is
-    weighted by beta^k k^-r; the diagonal subtotals are fsum-combined in
-    order.  A sweep over beta may pass the rows of its (index, alpha) to
-    every call: the value and bound are bit for bit those of the call
-    without them.  Rows built for another index, alpha or cutoff are a
-    ValueError naming the field.  The bound, the rows' own, is the
-    color-independent absolute tail plus eps*(cutoff+64)*mass, which
-    covers any summation order within a diagonal.
+    weighted by k^-r and by beta^k = beta^c, c = k mod ord beta.  The
+    weighted real and imaginary rows are summed per class c, sequentially
+    in the order of k (np.bincount); the at most min(ord beta, cutoff+1)
+    class sums S_c are then combined with the real products of
+    beta^c = root_value(beta**c), each part in one fsum:
+    Re = sum_c Re(beta^c)*Re(S_c) - Im(beta^c)*Im(S_c), Im likewise.  Only
+    real products and additions of doubles occur after the rows, so the
+    value has the same bits at every SIMD level numpy dispatches to.
+
+    A sweep over beta may pass the rows of its (index, alpha) to every
+    call: the value and bound are bit for bit those of the call without
+    them.  Rows built for another index, alpha or cutoff are a ValueError
+    naming the field.
+
+    The bound, the rows' own, is the color-independent absolute tail plus
+    eps*(cutoff+64)*mass = 2u*(cutoff+64)*mass, mass = sum_k (modulus row
+    k) * k^-r.  It covers the roundoff (u = eps/2, gamma_n = n*u/(1-n*u),
+    Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2; no
+    over/underflow).  Error bounds on a complex quantity below are on its
+    modulus; one on a pair of real sums follows from the componentwise
+    bounds gamma*sum|Re| and gamma*sum|Im| by the triangle inequality in
+    R^2, which bounds it by gamma times the sum of the terms' moduli.
+
+    * Terms.  m^-p, n^-q and k^-r come from binary powering, at most 21
+      roundings each for an exponent below 2048 (a larger one underflows
+      for m >= 2); alpha^n from root_value is within 13u of the root (its
+      theta = 2*pi*e/n <= pi carries 3 roundings, which move the point
+      along the circle by at most 3*pi*u, and cos and sin are each within
+      an ulp, 2u); the two products of a term and the product by k^-r
+      add 3 roundings.  That is at most 79u relative to each term, so
+      79u*mass.
+    * Within a diagonal.  einsum adds the window row of diagonal k, at
+      most cutoff-1 entries of which its k-1 terms are the nonzero ones,
+      in some fixed order: at most gamma_(cutoff-2) times their absolute
+      sum, so gamma_(cutoff-2)*mass over all diagonals.
+    * Class sums.  Class c holds at most ceil((cutoff-1)/ord beta)
+      diagonals, added from 0.0 one at a time: at most
+      gamma_ceil((cutoff-1)/ord beta) times their absolute sum, so that
+      times mass over all classes; the worst case is ord beta = 1, one
+      class of cutoff-1 diagonals, gamma_(cutoff-1)*mass.
+    * beta^c and the combination.  beta^c is within 13u of the root; the
+      real products round once each, at most sqrt(2)*u*|S_c| for the pair
+      of parts, and each fsum rounds once: at most 16u times
+      sum_c |S_c| <= (1 + gamma_cutoff)*mass.
+
+    Together, to first order, (2*cutoff + 92)*u*mass; the second-order
+    terms (the 1/(1-n*u) of each gamma, the rounding of mass itself and of
+    the rows it bounds) are below u*mass for cutoff <= MAX_ORACLE_CUTOFF,
+    so the total stays within the allowance (2*cutoff + 128)*u*mass.
     """
     _check_root_orders("eval_mt_direct", alpha=alpha, beta=beta)
     cut = cfg.oracle_cutoff
@@ -727,15 +774,13 @@ def eval_mt_direct(
         got = getattr(rows, field)
         if got != want:
             raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
-    beta_j = np.array([root_value(beta**j) for j in range(beta.order)])
-    # Bound to a name, the phases are no temporary that numpy could reuse as
-    # the product's output (it does so from 256 KiB on, cutoff > 16384) by
-    # swapping the operands: numpy's complex * is not commutative bit for
-    # bit at every SIMD level, so the rows stay the left operand.
-    phases = beta_j[np.arange(2, cut + 1) % beta.order]
-    contrib = rows.complex_row * phases * rows.kf
-    value = complex(fsum(contrib.real.tolist()), fsum(contrib.imag.tolist()))
-    return ValueWithError(value, rows.bound)
+    classes = np.arange(2, cut + 1) % beta.order
+    sr, si = (np.bincount(classes, weights=row * rows.kf).tolist() for row in rows.rows[:2])
+    # beta^c built here: the oracle reads no Li-layer memo.
+    phases = [root_value(beta**c) for c in range(len(sr))]
+    re = fsum([b.real * x for b, x in zip(phases, sr)] + [-b.imag * y for b, y in zip(phases, si)])
+    im = fsum([b.real * y for b, y in zip(phases, si)] + [b.imag * x for b, x in zip(phases, sr)])
+    return ValueWithError(complex(re, im), rows.bound)
 
 
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:

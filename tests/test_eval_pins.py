@@ -59,14 +59,22 @@ def test_values_and_bounds_match_pins_bit_for_bit(cold):
     assert not mismatches
 
 
-# Prints a hash of numpy's own complex * on fixed data, then every pin and
-# one oracle value, one line each.
+# Oracle values of MT(2,1,2) at cutoff 3000 checked at every SIMD level:
+# alpha of orders 1, 3, 4 and 8 times beta of eight orders up to 12.  The
+# pair (i, e^{2 pi i/3}) moved by one ulp when beta weighted the rows with
+# numpy's complex *.
+SWEEP_ALPHA_ORDERS = (1, 3, 4, 8)
+SWEEP_BETA_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+# Prints a hash of numpy's own complex * on fixed data, then every pin, one
+# oracle value and the oracle sweep, one line each.
 _BITS = """
 import hashlib, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from test_eval_pins import _cases, _evaluate
+from test_eval_pins import SWEEP_ALPHA_ORDERS, SWEEP_BETA_ORDERS, _cases, _evaluate
 from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct
+from tornheim.evaluate import oracle_rows
 
 z = np.random.default_rng(0).standard_normal((4, 4096))
 print(hashlib.sha256(((z[0] + 1j * z[1]) * (z[2] + 1j * z[3])).tobytes()).hexdigest())
@@ -75,6 +83,12 @@ for fields in _cases():
     print(repr(v.value), repr(v.error_bound))
 v = eval_mt_direct(MTIndex(1, 2, 3), RootOfUnity(1, 4), RootOfUnity(1, 3), EvalConfig(oracle_cutoff=12000))
 print(repr(v.value), repr(v.error_bound))
+idx, cfg = MTIndex(2, 1, 2), EvalConfig(oracle_cutoff=3000)
+for a in SWEEP_ALPHA_ORDERS:
+    rows = oracle_rows(idx, RootOfUnity(1, a), cfg)
+    for b in SWEEP_BETA_ORDERS:
+        v = eval_mt_direct(idx, RootOfUnity(1, a), RootOfUnity(1, b), cfg, rows=rows)
+        print(repr(v.value), repr(v.error_bound))
 """
 
 
@@ -90,7 +104,8 @@ def _bits_at(features: str | None) -> subprocess.Popen:
 def test_pins_and_oracle_have_the_same_bits_at_every_simd_level():
     # numpy picks its SIMD loops at import; X86_V2 leaves out AVX2, FMA and
     # AVX-512.  The sentinel shows that the two levels really run different
-    # complex loops, so equal pins mean the Li layer does not depend on them.
+    # complex loops, so equal pins and oracle values mean neither the Li
+    # layer nor the oracle's beta weighting depends on them.
     default, baseline = _bits_at(None), _bits_at("X86_V2")
     try:
         (out, err), (baseline_out, baseline_err) = (p.communicate(timeout=300) for p in (default, baseline))
@@ -107,5 +122,5 @@ def test_pins_and_oracle_have_the_same_bits_at_every_simd_level():
             "numpy's complex * rounds alike at X86_V2 and the default level"
             " (older numpy feature names, or a CPU without FMA)"
         )
-    assert len(bits) == len(_cases()) + 1
+    assert len(bits) == len(_cases()) + 1 + len(SWEEP_ALPHA_ORDERS) * len(SWEEP_BETA_ORDERS)
     assert bits == baseline_bits

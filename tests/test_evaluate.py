@@ -498,6 +498,8 @@ class TestOracle:
             ((1, 2, 3), I, W3),
             ((0, 2, 2), RootOfUnity(5, 12), I),
             ((2, 0, 3), W3, RootOfUnity(3, 8)),
+            ((1, 2, 3), W3, ONE),
+            ((2, 1, 2), I, RootOfUnity(3, MAX_ROOT_ORDER)),
         ],
     )
     def test_window_indexing_vs_explicit_terms(self, cut, pqr, alpha, beta):
@@ -515,6 +517,30 @@ class TestOracle:
         mass = math.fsum(abs(t) for t in terms)
         v = eval_mt_direct(MTIndex(p, q, r), alpha, beta, EvalConfig(oracle_cutoff=cut))
         assert abs(v.value - ref) <= 2.220446049250313e-16 * (cut + 64) * mass
+
+    def test_one_class_of_20000_diagonals_within_the_allowance(self):
+        # ord beta = 1 puts every diagonal into one sequential class sum, the
+        # worst case of the roundoff derivation.  With p = 0 the double sum
+        # is sum_n alpha^n n^-q T_n, T_n = sum_{k>n} k^-r, so a reference
+        # needs O(cutoff) terms: T_n as a double-double suffix sum (TwoSum),
+        # each product formed in Python and fsum'd, a few u*mass from exact.
+        q, r, cut = 1, 2, 20000
+        v = eval_mt_direct(MTIndex(0, q, r), W3, ONE, EvalConfig(oracle_cutoff=cut))
+        phases = [cmath.exp(2j * math.pi * c / 3) for c in range(3)]
+        hi = lo = 0.0
+        re, im, mass = [], [], []
+        for n in range(cut - 1, 0, -1):
+            y = float(n + 1) ** -r
+            total = hi + y
+            y_part = total - hi
+            lo += (hi - (total - y_part)) + (y - y_part)
+            hi = total
+            b, u = float(n) ** -q, phases[n % 3]
+            re += [u.real * b * hi, u.real * b * lo]
+            im += [u.imag * b * hi, u.imag * b * lo]
+            mass.append(b * hi)
+        ref = complex(math.fsum(re), math.fsum(im))
+        assert abs(v.value - ref) <= 2.220446049250313e-16 * (cut + 64) * math.fsum(mass)
 
     def test_thread_count_independent(self):
         # the row sums must not go through a threaded BLAS: a 1-thread and
@@ -657,6 +683,42 @@ def _three_contractions(index, alpha, cut):
     return rows
 
 
+def _class_sum_reference(rows, beta):
+    """eval_mt_direct's beta weighting in plain Python: class c = k mod
+    ord beta of the k^-r-weighted real and imaginary rows summed with
+    s += w_k in the order of k, then the real products with beta^c fsum'd
+    once per part."""
+    sums = {}
+    re, im, _ = rows.rows.tolist()
+    for k, x, y, f in zip(range(2, rows.cutoff + 1), re, im, rows.kf.tolist()):
+        sx, sy = sums.get(k % beta.order, (0.0, 0.0))
+        sx += x * f
+        sy += y * f
+        sums[k % beta.order] = (sx, sy)
+    parts_re, parts_im = [], []
+    for c, (sx, sy) in sums.items():
+        b = (beta**c).value()
+        parts_re += [b.real * sx, -b.imag * sy]
+        parts_im += [b.real * sy, b.imag * sx]
+    return complex(math.fsum(parts_re), math.fsum(parts_im))
+
+
+class TestBetaClassSums:
+    # The value is the rows weighted per residue class of k mod ord beta,
+    # summed in the order of k: bit for bit the plain-Python reference.
+    @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000, 16385])
+    def test_value_equals_sequential_class_sums_bit_for_bit(self, cut):
+        idx, cfg = MTIndex(1, 2, 2), EvalConfig(oracle_cutoff=cut)
+        betas = [RootOfUnity(1, n) for n in (1, 2, 3, 4, 8, 12)] + [RootOfUnity(7, MAX_ROOT_ORDER)]
+        for alpha in (ONE, RootOfUnity(5, 12)):
+            rows = oracle_rows(idx, alpha, cfg)
+            for beta in betas:
+                want = _class_sum_reference(rows, beta)
+                got = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
+                assert repr(got.value) == repr(want), (alpha, beta)
+                assert got.error_bound == rows.bound
+
+
 class TestOracleRowClasses:
     # Rows that exact arithmetic fixes (alpha = 1, alpha = -1, a conjugate
     # right after its root) are not contracted; they must still be bit for
@@ -672,9 +734,7 @@ class TestOracleRowClasses:
             rows = oracle_rows(idx, colors[0], cfg)
             for alpha in colors:
                 rows = rows.recolor(alpha)
-                re, im, _ = want[alpha]
                 assert rows.rows.tobytes() == want[alpha].tobytes(), alpha
-                assert rows.complex_row.tobytes() == (re + 1j * im).tobytes(), alpha
 
     def test_a_conjugate_row_keeps_the_zeros_of_exact_cancellation(self):
         # For p = q the imaginary row cancels to +0.0 on some diagonals;
@@ -691,22 +751,9 @@ class TestOracleRowClasses:
         assert other.free is rows.free and other.kf is rows.kf and other.bound == rows.bound
         assert rows.recolor(I) is rows
         with pytest.raises(ValueError):
-            other.complex_row[0] = 1.0
+            other.rows[0, 0] = 1.0
         with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
             rows.recolor(RootOfUnity(1, MAX_ROOT_ORDER + 1))
-
-    def test_beta_weighting_keeps_the_rows_the_left_operand(self):
-        # From cutoff 16385 on, numpy may reuse a temporary operand of 256 KiB
-        # as the product's output, swapping the operands when it is the right
-        # one; its complex * is not commutative bit for bit at every SIMD
-        # level.  The value is that of the rows times beta^k times k^-r.
-        idx, alpha, beta, cut = MTIndex(0, 6, 2), RootOfUnity(5, 6), RootOfUnity(7, 12), 20000
-        re, im, _ = _three_contractions(idx, alpha, cut)
-        beta_j = np.array([(beta**j).value() for j in range(beta.order)])
-        kf = evaluate._neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), idx.r)
-        contrib = (re + 1j * im) * beta_j[np.arange(2, cut + 1) % beta.order] * kf
-        want = complex(math.fsum(contrib.real.tolist()), math.fsum(contrib.imag.tolist()))
-        assert repr(eval_mt_direct(idx, alpha, beta, EvalConfig(oracle_cutoff=cut)).value) == repr(want)
 
     @pytest.fixture
     def contracted(self, monkeypatch):
@@ -841,6 +888,24 @@ class TestConfigAndValue:
         with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
             eval_mt_direct(MTIndex(2, 1, 2), RootOfUnity(1, MAX_ROOT_ORDER + 1), ONE, cfg)
         eval_li.cache_clear()
+
+    def test_oracle_builds_only_the_root_powers_it_reads(self, monkeypatch):
+        # n < cutoff reads alpha^(n mod ord alpha) and k <= cutoff reads
+        # beta^(k mod ord beta): a root of order 2**16 at cutoff 8 builds
+        # at most cutoff + 1 powers, not 2**16.
+        calls, root_value = [], evaluate.root_value
+
+        def counting(root):
+            calls.append(root)
+            return root_value(root)
+
+        monkeypatch.setattr(evaluate, "root_value", counting)
+        big, cfg = RootOfUnity(1, MAX_ROOT_ORDER), EvalConfig(oracle_cutoff=8)
+        rows = oracle_rows(MTIndex(2, 1, 2), big, cfg)
+        assert 0 < len(calls) <= 9
+        calls.clear()
+        eval_mt_direct(MTIndex(2, 1, 2), big, big, cfg, rows=rows)
+        assert 0 < len(calls) <= 9
 
     def test_value_with_error_rejects_nonfinite(self):
         with pytest.raises(ValueError):
