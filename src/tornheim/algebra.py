@@ -10,27 +10,40 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RootOfUnity:
     """The root of unity exp(2*pi*i * exponent/order), stored canonically.
 
     The stored pair is always reduced: 0 <= exponent < order and
     gcd(exponent, order) == 1, so two instances compare equal exactly when
     they are the same point on the unit circle.  The value 1 is (0, 1).
+
+    The hash, that of the stored pair, is computed once at construction:
+    roots key every memo of the evaluator.  It is not a field, so == and
+    repr see the pair alone, and a pickle carries the pair and rebuilds the
+    root through the constructor.  The constructor writes the reduced pair
+    and the hash into the instance dict in one step, so a root costs no
+    more to build than it did with the pair alone.
     """
 
     exponent: int
     order: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or not isinstance(self.order, int):
+    def __init__(self, exponent: int, order: int) -> None:
+        if not isinstance(exponent, int) or not isinstance(order, int):
             raise TypeError("exponent and order must be integers")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("order must be a positive integer")
-        e = self.exponent % self.order
-        g = math.gcd(e, self.order)
-        object.__setattr__(self, "exponent", e // g)
-        object.__setattr__(self, "order", self.order // g)
+        e = exponent % order
+        g = math.gcd(e, order)
+        e, n = e // g, order // g
+        self.__dict__.update(exponent=e, order=n, _hash=hash((e, n)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (RootOfUnity, (self.exponent, self.order))
 
     @classmethod
     def parse(cls, text: str) -> "RootOfUnity":
@@ -51,7 +64,8 @@ class RootOfUnity:
         return RootOfUnity(-self.exponent, self.order)
 
     def conjugate(self) -> "RootOfUnity":
-        return self.inverse()
+        """The inverse; a real root (order 1 or 2) is its own conjugate."""
+        return self if self.order <= 2 else self.inverse()
 
     def value(self) -> complex:
         return root_value(self)

@@ -41,9 +41,12 @@ Summation machinery, bottom up:
   depends on (s, t, ord x, n0) but not on the colors: it is built once
   per such key as a schedule of arrays, and each call runs it on its own
   rungs and phases.  Head and tail multiply complex rows only in
-  _weighted_sum, on real and imaginary rows of doubles, so every Li value
+  _weighted_sums, on real and imaginary rows of doubles, so every Li value
   and bound has the same bits at every SIMD level numpy dispatches to;
-  tests/data/li_reference.txt checks them against 30 digits.
+  tests/data/li_reference.txt checks them against 30 digits.  The
+  evaluation itself, _li_batch, runs any number of shapes (s, t) that
+  share (x, y, n0) in one array pass, a row per shape, and gives each
+  the bits it has alone; one shape is the batch of one.
 
 * Memos under eval_li, which only skip recomputation (every value and
   bound is bit for bit what the uncached arithmetic gives): the Hurwitz
@@ -53,10 +56,19 @@ Summation machinery, bottom up:
   column j is root^j (tail_sum and the tail read x^c at column c of
   _root_powers(x, ord x + 1), the head reads _root_powers(., n0 + 1)
   backwards); and the tail schedules per (s, t, ord x, n0).  eval_li's
-  own cache is keyed on (s, t, x, y, n0), n0 being the only config field
-  a value reads.  eval_li.cache_clear() empties all of them (only the
-  Euler-Maclaurin coefficients stay) and eval_li.cache_info() counts
-  eval_li's own calls; hurwitz_tail and tail_sum stay uncached.  Memory
+  own memo (_LiMemo) is keyed on (s, t, x, y, n0), n0 being the only
+  config field a value reads.  A decomposition's terms come in two color
+  groups, Li(alpha*beta, conj alpha) and Li(beta, alpha);
+  eval_decomposition lets the memo see each group's shapes, and a miss
+  evaluates its key with every uncached shape of its group in one
+  _li_batch, keeping the others' values until their own calls.  A key
+  whose conjugate key is stored is served the stored value's exact
+  conjugate, unless that value has a zero part.  eval_li.cache_clear()
+  empties all of them, the values computed ahead included (only the
+  Euler-Maclaurin coefficients stay), and eval_li.cache_info() counts
+  eval_li's own calls: a miss is a call whose value was computed, alone
+  or ahead, and made one head tail_sum; a hit is served from the memo or
+  by conjugation.  hurwitz_tail and tail_sum stay uncached.  Memory
   grows with the distinct inputs: per distinct key, order floats for a
   row, n0 for a power table, n for a root-power table, one entry per
   rung or eval_li call, and 1 float and 2 small integers per j-series
@@ -111,6 +123,7 @@ both orders.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,41 +357,55 @@ def _root_powers(root: RootOfUnity, n: int) -> np.ndarray:
     return table
 
 
-def _weighted_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[complex, float]:
-    """sum_k w_k*a_k*b_k, fsum-combined, and its mass sum_k |w_k*a_k*b_k|.
+def _weighted_sums(
+    a: np.ndarray, b: np.ndarray, w: np.ndarray, sizes: Iterable[int]
+) -> list[tuple[complex, float]]:
+    """Row by row, sum_k w_k*a_k*b_k, fsum-combined, and its mass sum_k |w_k*a_k*b_k|.
 
     The Li layer's one complex product: a and b are complex rows given as
-    (real, imaginary) rows of doubles, w is a real row, and each term is
-    ((ar*br - ai*bi)*w, (ar*bi + ai*br)*w); the mass accumulates in order.
+    (real, imaginary) stacks of doubles, broadcast against the rows of the
+    real array w, and each term is ((ar*br - ai*bi)*w, (ar*bi + ai*br)*w).
+    Row i sums its first sizes[i] terms; the terms past them must be exact
+    zeros, as padding is.  The mass accumulates along each row in order.
     Real ufuncs, np.hypot and np.add.accumulate round the same at every
-    SIMD level numpy dispatches to; numpy's complex * and abs do not (with
-    numpy 2.4.6 on AVX-512, 44% of 200k random products differ between
+    SIMD level numpy dispatches to and whatever the shape, so a row has the
+    bits it has alone; numpy's complex * and abs do not (with numpy 2.4.6
+    on AVX-512, 44% of 200k random products differ between
     NPY_ENABLE_CPU_FEATURES=X86_V2 and the default level).
     """
-    (ar, ai), (br, bi) = a, b
-    re = (ar * br - ai * bi) * w
-    im = (ar * bi + ai * br) * w
-    mass = float(np.add.accumulate(np.hypot(re, im))[-1])
-    return complex(fsum(re.tolist()), fsum(im.tolist())), mass
+    p = a[:, None] * b[None]  # p[i, j] = a_i * b_j
+    terms = np.empty(p.shape[1:])
+    np.subtract(p[0, 0], p[1, 1], out=terms[0])
+    np.add(p[0, 1], p[1, 0], out=terms[1])
+    terms *= w
+    masses = np.add.accumulate(np.hypot(terms[0], terms[1]), axis=-1)[:, -1].tolist()
+    rows, cols = w.shape
+    flat = memoryview(terms.reshape(-1))  # the real rows end to end, then the imaginary rows
+    return [
+        (complex(fsum(flat[i * cols : i * cols + n]), fsum(flat[(rows + i) * cols : (rows + i) * cols + n])), mass)
+        for i, (n, mass) in enumerate(zip(sizes, masses))
+    ]
 
 
 def _li_head(
-    t_n0: complex, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int
-) -> tuple[complex, float]:
-    """sum_{n<=n0} y^n n^(-t) T(s,x,n) and its absolute mass, from T(s,x,n0).
+    t_n0: list[complex], shapes: list[tuple[int, int]], x: RootOfUnity, y: RootOfUnity, n0: int
+) -> list[tuple[complex, float]]:
+    """sum_{n<=n0} y^n n^(-t) T(s,x,n) and its absolute mass per (s, t) of shapes.
 
-    T(s,x,n) for n < n0 comes from a sequential reverse running sum over
-    n = n0..1.  The results are bit for bit those of the scalar loop
-    ``g = y**n * T * n**-t; T += x**n * n**-s`` up to the sign of a zero
-    part, which np.hypot and fsum drop.
+    t_n0 holds T(s,x,n0) per shape.  T(s,x,n) for n < n0 comes from one
+    sequential reverse running sum over n = n0..1 per shape, the rows of a
+    len(shapes) x n0 array.  The results are bit for bit those of the
+    scalar loop ``g = y**n * T * n**-t; T += x**n * n**-s`` up to the sign
+    of a zero part, which np.hypot and fsum drop.
     """
     xp, yp = _root_powers(x, n0 + 1)[:, :0:-1], _root_powers(y, n0 + 1)[:, :0:-1]
-    fs, ft = _inv_powers(s, n0), _inv_powers(t, n0)
-    tn = np.empty((2, n0))  # rows real and imaginary part of T(s,x,n)
-    tn[:, 0] = t_n0.real, t_n0.imag
-    np.multiply(xp[:, :-1], fs[:-1], out=tn[:, 1:])
-    tn = np.add.accumulate(tn, axis=1)
-    return _weighted_sum(yp, tn, ft)
+    fs = np.array([_inv_powers(s, n0) for s, _ in shapes])
+    ft = np.array([_inv_powers(t, n0) for _, t in shapes])
+    tn = np.empty((2, len(shapes), n0))  # real and imaginary part of T(s,x,n), a row per shape
+    tn[:, :, 0] = [[v.real for v in t_n0], [v.imag for v in t_n0]]
+    np.multiply(xp[:, None, :-1], fs[:, :-1], out=tn[:, :, 1:])
+    tn = np.add.accumulate(tn, axis=-1)
+    return _weighted_sums(yp[:, None], tn, ft, [n0] * len(shapes))
 
 
 @lru_cache(maxsize=None)
@@ -393,31 +420,36 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
     once per key and records, in loop order: the rungs omega it reads,
     sorted; the weights w = (-1)^j*pref*c^j*C(sigma+j-1, j) of x^c times
     the rung value, whose moduli weight the rungs' bounds; and an index
-    block, of the narrowest unsigned type that holds ord x and the rung
-    count, with rows rung index and c (the column of x^c in _root_powers).
+    block, of the narrowest unsigned type that holds ord x and the highest
+    rung, with rows omega and c (the column of x^c in _root_powers).
 
     Each stopping majorant rides as one more entry on a sentinel rung
-    (index 0, c = 0) with value 0 and bound 1.0: its weight is the
+    (omega 0, c = 0) with value 0 and bound 1.0: its weight is the
     majorant, and its zero term changes neither fsum nor the running mass.
     """
     half = _HEAD_ORDER // 2
     betas, _, _ = _em_params(s, half)
     sigmas = [(s - 1, 1.0 / (s - 1)), (s, 0.5)]
     sigmas += [(s + 2 * l - 1, betas[l - 1]) for l in range(1, half + 1)]
-    terms = []  # (omega, c, weight); omega 0 is the sentinel
+    rungs, pos, weights = [], [], []  # omega 0 is the sentinel
     nf = float(n0)
     for sigma, coef in sigmas:
         pref = coef * float(nx) ** (sigma - s)
         apref = abs(pref)
         for c in range(1, nx + 1):
+            c_n0 = c / nf
             cj = 1  # c^j, exact
             binom = 1  # C(sigma+j-1, j), exact
+            signed_pref = pref  # (-1)^j * pref
             j = 0
             while True:
-                terms.append((t + sigma + j, c, (-pref if j % 2 else pref) * float(cj * binom)))
+                rungs.append(t + sigma + j)
+                pos.append(c)
+                weights.append(signed_pref * float(cj * binom))
                 j += 1
                 binom = binom * (sigma + j - 1) // j
                 cj *= c
+                signed_pref = -signed_pref
                 # Geometric majorant on the rest of the j-series; the term
                 # ratio (sigma+j)/(j+1) * c/n0 decreases in j.
                 omega = t + sigma + j
@@ -425,74 +457,184 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
                 if lam_cap == 0.0:
                     break  # rest is below the subnormal floor
                 major = apref * float(binom) * lam_cap / (omega - 1)
-                ratio = (sigma + j) / (j + 1) * (c / nf)
+                ratio = (sigma + j) / (j + 1) * c_n0
                 if ratio < 0.5 and major / (1.0 - ratio) < 1e-18:
-                    terms.append((0, 0, major / (1.0 - ratio)))
+                    rungs.append(0)
+                    pos.append(0)
+                    weights.append(major / (1.0 - ratio))
                     break
                 if j > 2000:
                     raise RuntimeError("binomial re-expansion failed to converge")
-    rungs, pos, weights = zip(*terms)
-    omegas = sorted(set(rungs) - {0})
-    index = {omega: i for i, omega in enumerate([0, *omegas])}
     weights = np.array(weights)
-    where = np.array([[index[omega] for omega in rungs], pos], dtype=np.min_scalar_type(max(nx, len(index))))
+    where = np.array([rungs, pos], dtype=np.min_scalar_type(max(nx, max(rungs))))
     weights.flags.writeable = where.flags.writeable = False
-    return tuple(omegas), weights, where
+    return tuple(sorted(set(rungs) - {0})), weights, where
 
 
 def _li_tail(
-    s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, bound: float
-) -> tuple[complex, float, float]:
-    """The tail sum_{n>n0}, its absolute mass, and bound plus its increments.
+    shapes: list[tuple[int, int]], x: RootOfUnity, y: RootOfUnity, n0: int, bounds: list[float]
+) -> list[tuple[complex, float, float]]:
+    """Per (s, t) of shapes: the tail sum_{n>n0}, its mass, and bound plus its increments.
 
-    Runs _tail_schedule(s, t, ord x, n0) on this call's rungs lam and
-    phases x^c: the terms are w*(x^c*lam) by _weighted_sum, and the bound
-    increments |w|*(bound of lam) accumulate in loop order.  _li_once's
-    32*eps*mass = 64u*mass covers the terms' roundoff (u = eps/2): w =
-    (+-pref)*fl(c^j*C(sigma+j-1, j)) is within 6u of exact whatever j (the
-    integer rounds once, pref's coef, pow and product 4u, the last product
-    u), x^c within 12u (theta = 2*pi*e/n within 3u*pi, cos and sin within
-    an ulp), and the product's three roundings per part within sqrt(2)*3u.
-    So a term errs by at most 23u of its modulus, and fsum adds u*mass.
+    Runs each _tail_schedule(s, t, ord x, n0) on the rungs lam of z = x*y
+    and the phases x^c: the schedules are the rows of one array, padded
+    with zero weights on the sentinel, and the rung table is taken by
+    omega.  The terms are w*(x^c*lam) by _weighted_sums, each row summing
+    its own schedule, and the bound increments |w|*(bound of lam)
+    accumulate in loop order after the shape's bound from bounds; the
+    padding adds exact zeros to both.  _li_batch's 32*eps*mass = 64u*mass
+    covers the terms' roundoff (u = eps/2): w = (+-pref)*fl(c^j*C(sigma+j-1,
+    j)) is within 6u of exact whatever j (the integer rounds once, pref's
+    coef, pow and product 4u, the last product u), x^c within 12u (theta =
+    2*pi*e/n within 3u*pi, cos and sin within an ulp), and the product's
+    three roundings per part within sqrt(2)*3u.  So a term errs by at most
+    23u of its modulus, and fsum adds u*mass.
     """
-    omegas, w, (rung, pos) = _tail_schedule(s, t, x.order, n0)
+    schedules = [_tail_schedule(s, t, x.order, n0) for s, t in shapes]
     z = root_mul(x, y)
-    lams = [_ladder_tail(omega, z, n0) for omega in omegas]
-    # Rows real part, imaginary part and bound: the sentinel, then each rung.
-    lam = np.array([(0.0, 0.0, 1.0), *((v.value.real, v.value.imag, v.error_bound) for v in lams)])
-    lam = lam.T.take(rung, axis=1)
-    value, mass = _weighted_sum(_root_powers(x, x.order + 1).take(pos, axis=1), lam[:2], w)
-    incs = np.concatenate(([bound], np.abs(w) * lam[2]))  # the bound so far, then the increments
-    return value, mass, float(np.add.accumulate(incs)[-1])
+    # Real part, imaginary part and bound of each rung, by omega; omega 0 is
+    # the sentinel.
+    lam = [(0.0, 0.0, 1.0)] * (max(omegas[-1] for omegas, _, _ in schedules) + 1)
+    for omega in set().union(*(omegas for omegas, _, _ in schedules)):
+        v = _ladder_tail(omega, z, n0)
+        lam[omega] = v.value.real, v.value.imag, v.error_bound
+    lam = np.array(lam).T
+    sizes = [len(w) for _, w, _ in schedules]
+    w = np.zeros((len(shapes), max(sizes)))
+    where = np.zeros((2, len(shapes), max(sizes)), dtype=np.intp)
+    for i, (_, wi, wherei) in enumerate(schedules):
+        w[i, : sizes[i]] = wi
+        where[:, i, : sizes[i]] = wherei
+    lam = lam.take(where[0], axis=1)
+    sums = _weighted_sums(_root_powers(x, x.order + 1).take(where[1], axis=1), lam[:2], w, sizes)
+    incs = np.empty((len(shapes), max(sizes) + 1))  # the bound so far, then the increments
+    incs[:, 0] = bounds
+    np.multiply(np.abs(w), lam[2], out=incs[:, 1:])
+    totals = np.add.accumulate(incs, axis=-1)[:, -1].tolist()
+    return [(value, mass, total) for (value, mass), total in zip(sums, totals)]
 
 
-def _li_once(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> tuple[complex, float]:
+def _li_batch(shapes: list[tuple[int, int]], x: RootOfUnity, y: RootOfUnity, n0: int) -> list[tuple[complex, float]]:
+    """Li[s,t](x,y) and its bound for every (s, t) of shapes, head length n0.
+
+    One array pass for the whole batch, head (_li_head) and tail
+    (_li_tail), with one head tail_sum call per shape.  No row mixes with
+    another, so every value and bound is bit for bit that of the batch of
+    its shape alone.
+    """
     half = _HEAD_ORDER // 2
 
     # Head: sum_{n<=n0} y^n n^(-t) T(s,x,n), T by reverse running sum.
-    t_at_n0 = tail_sum(s, x, n0, _HEAD_ORDER)
-    head, mass_head = _li_head(t_at_n0.value, s, t, x, y, n0)
-    # sum_{n<=n0} n^(-t) weights the per-n T error (EM bound plus the
-    # running-sum roundoff, itself at most eps * sum |x^m m^-s|).
-    hsum = 1.0 + math.log(n0) if t == 1 else 1.6449340668482266
-    bound = (t_at_n0.error_bound + 8.0 * _EPS * 1.645) * hsum + 16.0 * _EPS * mass_head
+    t_at_n0 = [tail_sum(s, x, n0, _HEAD_ORDER) for s, _ in shapes]
+    heads = _li_head([v.value for v in t_at_n0], shapes, x, y, n0)
+    bounds = []
+    for (s, t), tv, (_, mass_head) in zip(shapes, t_at_n0, heads):
+        # sum_{n<=n0} n^(-t) weights the per-n T error (EM bound plus the
+        # running-sum roundoff, itself at most eps * sum |x^m m^-s|).
+        hsum = 1.0 + math.log(n0) if t == 1 else 1.6449340668482266
+        bounds.append((tv.error_bound + 8.0 * _EPS * 1.645) * hsum + 16.0 * _EPS * mass_head)
 
-    tail, mass_tail, bound = _li_tail(s, t, x, y, n0, bound)
+    out = []
+    for (s, t), (head, mass_head), (tail, mass_tail, bound) in zip(
+        shapes, heads, _li_tail(shapes, x, y, n0, bounds)
+    ):
+        # Remainder of the asymptotic expansion of H inside T, summed over n>n0.
+        _, bhat, _ = _em_params(s, half)
+        e = t + s + 2 * half
+        bound += float(x.order) ** (2 * half + 2) * bhat * float(n0) ** -e / e
 
-    # Remainder of the asymptotic expansion of H inside T, summed over n>n0.
-    _, bhat, _ = _em_params(s, half)
-    e = t + s + 2 * half
-    bound += float(x.order) ** (2 * half + 2) * bhat * float(n0) ** -e / e
-
-    value = head + tail
-    bound += 32.0 * _EPS * (mass_head + mass_tail + abs(value))
-    return value, bound
+        value = head + tail
+        bound += 32.0 * _EPS * (mass_head + mass_tail + abs(value))
+        out.append((value, bound))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _li_value(s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> ValueWithError:
-    """eval_li's cache, keyed on n0, the one part of the config a value reads."""
-    return ValueWithError(*_li_once(s, t, x, y, n0))
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _LiMemo:
+    """eval_li's memo: finished values keyed on (s, t, x, y, n0), n0 being
+    the one part of the config a value reads.
+
+    A miss runs one _li_batch for its key and its siblings: the other
+    shapes (s', t') that the running eval_decomposition holds for the same
+    colors (x, y) (siblings, set by it) and that are not known yet.  A
+    sibling's value waits in ahead until its own call, which counts as the
+    miss it would have been alone, so every miss makes one head tail_sum
+    call, inside an eval_li span.
+
+    A key whose conjugate (s, t, conj x, conj y, n0) is stored is served,
+    as a hit, as the conjugate of that value with its bound, when both of
+    the value's parts are nonzero.  That is what evaluating the key gives:
+    root_value makes the phases of conjugate roots exactly conjugate, so
+    every product and fsum of the head, the ladder rungs and the tail has
+    the same real part and the negated imaginary part, and np.hypot and
+    abs the same moduli.  Only the sign of a zero part can differ, so a
+    value with a zero part is not mirrored; its conjugate is computed.
+
+    Every value served is right under any interleaving of threads; the
+    batches and the counts assume one caller at a time, as the benchmark
+    and the command line make their calls.
+    """
+
+    def __init__(self) -> None:
+        self.siblings: dict[tuple[RootOfUnity, RootOfUnity], dict[tuple[int, int], None]] = {}
+        self.clear()
+
+    def clear(self) -> None:
+        self.values: dict[tuple, ValueWithError] = {}
+        self.ahead: dict[tuple, ValueWithError] = {}
+        self.hits = self.misses = 0
+
+    def info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self.values) + len(self.ahead))
+
+    def _mirror(self, s: int, t: int, xc: RootOfUnity, yc: RootOfUnity, n0: int) -> ValueWithError | None:
+        """The conjugate of the stored value of (s, t, xc, yc, n0), if it may serve."""
+        v = self.values.get((s, t, xc, yc, n0))
+        if v is None or v.value.real == 0.0 or v.value.imag == 0.0:
+            return None
+        return ValueWithError(v.value.conjugate(), v.error_bound)
+
+    def get(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> ValueWithError:
+        key = (s, t, x, y, n0)
+        v = self.values.get(key)
+        if v is not None:
+            self.hits += 1
+            return v
+        v = self.ahead.pop(key, None)
+        if v is not None:
+            self.misses += 1
+        else:
+            xc, yc = x.conjugate(), y.conjugate()
+            v = self._mirror(s, t, xc, yc, n0)
+            if v is not None:
+                self.hits += 1
+            else:
+                self.misses += 1
+                v = self._evaluate(s, t, x, y, xc, yc, n0)
+        self.values[key] = v
+        return v
+
+    def _evaluate(
+        self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, xc: RootOfUnity, yc: RootOfUnity, n0: int
+    ) -> ValueWithError:
+        """The value of (s, t, x, y, n0); its siblings' values go to ahead."""
+        shapes = [(s, t)] + [
+            (si, ti)
+            for si, ti in self.siblings.get((x, y), ())
+            if (si, ti) != (s, t)
+            and (si, ti, x, y, n0) not in self.values
+            and (si, ti, x, y, n0) not in self.ahead
+            and self._mirror(si, ti, xc, yc, n0) is None
+        ]
+        (value, bound), *rest = _li_batch(shapes, x, y, n0)
+        for (si, ti), (sibling, sibling_bound) in zip(shapes[1:], rest):
+            self.ahead[si, ti, x, y, n0] = ValueWithError(sibling, sibling_bound)
+        return ValueWithError(value, bound)
+
+
+_li_memo = _LiMemo()
 
 
 def eval_li(
@@ -523,19 +665,20 @@ def eval_li(
             f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
         )
     n0 = min(cfg.max_inner_terms, max(128, 16 * x.order))
-    return _li_value(s, t, x, y, n0)
+    return _li_memo.get(s, t, x, y, n0)
 
 
-_LI_MEMOS = (_li_value, _hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
+_LI_MEMOS = (_hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
 
 
 def _clear_li_caches() -> None:
-    """Empty eval_li's cache together with every private memo under it."""
+    """Empty eval_li's memo together with every private memo under it."""
+    _li_memo.clear()
     for memo in _LI_MEMOS:
         memo.cache_clear()
 
 
-eval_li.cache_info = _li_value.cache_info
+eval_li.cache_info = _li_memo.info
 eval_li.cache_clear = _clear_li_caches
 
 
@@ -784,10 +927,22 @@ def eval_mt_direct(
 
 
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:
-    """Evaluate a decomposition term by term, combining in its term order."""
-    return ValueWithError.combine(
-        (term.coefficient, eval_li(term.s, term.t, term.x, term.y, cfg)) for term in d.terms
-    )
+    """Evaluate a decomposition term by term, combining in its term order.
+
+    One eval_li call per term.  While they run, eval_li's memo holds the
+    shapes (s, t) of each color pair (x, y) of d, so the first miss of a
+    color group computes every uncached term of the group in one batch.
+    """
+    siblings: dict[tuple[RootOfUnity, RootOfUnity], dict[tuple[int, int], None]] = {}
+    for term in d.terms:
+        siblings.setdefault((term.x, term.y), {})[term.s, term.t] = None
+    _li_memo.siblings = siblings
+    try:
+        return ValueWithError.combine(
+            (term.coefficient, eval_li(term.s, term.t, term.x, term.y, cfg)) for term in d.terms
+        )
+    finally:
+        _li_memo.siblings = {}
 
 
 def zeta_const(s: int) -> ValueWithError:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,13 @@ class TestRootOfUnity:
         f = Fraction(a.exponent, a.order) + Fraction(b.exponent, b.order)
         c = root_mul(a, b)
         assert (c.exponent, c.order) == fraction_reduced(f.numerator, f.denominator)
+
+    def test_roots_built_differently_hash_equal_and_survive_pickling(self):
+        a, b = RootOfUnity(2, 8), RootOfUnity(1, 4)
+        assert a is not b and a == b and hash(a) == hash(b) == hash((1, 4))
+        assert {a: "i"}[b] == "i"
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and hash(c) == hash(a) and repr(c) == repr(a) == "RootOfUnity(exponent=1, order=4)"
 
     def test_rejects_bad_types(self):
         for e, n in [(1.0, 2), (1, 2.0), ("1", 2), (None, 3), (Fraction(1, 2), 4)]:

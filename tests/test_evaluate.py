@@ -34,8 +34,8 @@ from tornheim.evaluate import (
     MAX_ORACLE_CUTOFF,
     MAX_ROOT_ORDER,
     _hurwitz_row,
+    _li_batch,
     _li_head,
-    _li_once,
     _tail_schedule,
     hurwitz_tail,
     oracle_rows,
@@ -51,6 +51,12 @@ W3 = RootOfUnity(1, 3)
 ZETA2 = 1.6449340668482264365
 ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
+
+
+def _li_once(s, t, x, y, n0):
+    """One shape evaluated alone: the batch of one."""
+    ((value, bound),) = _li_batch([(s, t)], x, y, n0)
+    return value, bound
 
 
 def brute_li_t1(s, m_max):
@@ -266,11 +272,11 @@ class TestEvalLi:
         # longer one cannot lower the bound, so eval_li makes one pass.
         calls = []
 
-        def loose(s, t, x, y, n0):
+        def loose(shapes, x, y, n0):
             calls.append(n0)
-            return 0.5 + 0j, 1.0
+            return [(0.5 + 0j, 1.0)] * len(shapes)
 
-        monkeypatch.setattr(evaluate, "_li_once", loose)
+        monkeypatch.setattr(evaluate, "_li_batch", loose)
         eval_li.cache_clear()
         v = eval_li(2, 1, ONE, ONE, EvalConfig(tolerance=1e-13))
         eval_li.cache_clear()
@@ -287,16 +293,43 @@ class TestEvalLi:
             assert (repr(tight.value), repr(tight.error_bound)) == (repr(loose.value), repr(loose.error_bound))
 
     def test_conjugating_both_colors_conjugates_exactly(self):
+        # The premise of eval_li's conjugate rule, on evaluations that read
+        # no eval_li memo: the memo would serve one side from the other.
         roots = sorted({RootOfUnity(k, n) for n in (1, 2, 3, 4, 6, 8, 12) for k in range(n)},
                        key=RootOfUnity.sort_key)
         upper = [x for x in roots if 2 * x.exponent <= x.order]
         for s, t in [(2, 1), (3, 2), (5, 1), (4, 4), (10, 10), (19, 1)]:
             for x in upper:
+                n0 = max(128, 16 * x.order)
                 for y in roots:
-                    v = eval_li(s, t, x, y)
-                    vc = eval_li(s, t, x.conjugate(), y.conjugate())
+                    v, b = _li_once(s, t, x, y, n0)
+                    vc, bc = _li_once(s, t, x.conjugate(), y.conjugate(), n0)
                     # == is bit equality up to the sign of a zero part
-                    assert (vc.value, vc.error_bound) == (v.value.conjugate(), v.error_bound), (s, t, x, y)
+                    assert (vc, bc) == (v.conjugate(), b), (s, t, x, y)
+
+    @pytest.mark.parametrize("stored, mirrored", [(0.5 + 0.0j, False), (0.5j, False), (0.5 + 0.25j, True)])
+    def test_a_stored_value_with_a_zero_part_is_never_mirrored(self, monkeypatch, stored, mirrored):
+        # Only the sign of a zero part can tell the conjugate's own value from
+        # the conjugated stored value, so that conjugate is computed.
+        batches = []
+
+        def batch(shapes, x, y, n0):
+            batches.append((x, y))
+            return [(stored, 1e-12)] * len(shapes)
+
+        monkeypatch.setattr(evaluate, "_li_batch", batch)
+        x, y = RootOfUnity(1, 8), W3
+        eval_li.cache_clear()
+        eval_li(2, 1, x, y)
+        v = eval_li(2, 1, x.conjugate(), y.conjugate())
+        info = eval_li.cache_info()
+        eval_li.cache_clear()
+        if mirrored:
+            assert (info.hits, info.misses, batches) == (1, 1, [(x, y)])
+            assert v == ValueWithError(stored.conjugate(), 1e-12)
+        else:
+            assert (info.hits, info.misses, batches) == (0, 2, [(x, y), (x.conjugate(), y.conjugate())])
+            assert repr(v.value) == repr(stored)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -451,9 +484,124 @@ class TestLiMemos:
     )
     def test_vector_head_equals_scalar_loop(self, s, t, x, y, n0):
         t_n0 = tail_sum(s, x, n0).value
-        head, mass = _li_head(t_n0, s, t, x, y, n0)
+        ((head, mass),) = _li_head([t_n0], [(s, t)], x, y, n0)
         ref_head, ref_mass = _scalar_head(t_n0, s, t, x, y, n0)
         assert repr(head) == repr(ref_head) and repr(mass) == repr(ref_mass)
+
+
+# 18 distinct shapes of mixed weights; a batch of k takes the first k.
+_SHAPES = random.Random(14).sample([(s, t) for s in range(2, 20) for t in range(1, 19)], 18)
+
+
+class TestLiBatch:
+    """One _li_batch per (x, y, n0) gives each shape the bits it has alone."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 18])
+    @pytest.mark.parametrize(
+        "x, y, n0",
+        [
+            (ONE, ONE, 128),
+            (RootOfUnity(5, 12), I, 192),
+            (RootOfUnity(7, 24), RootOfUnity(3, 8), 384),
+            (RootOfUnity(2, 5), RootOfUnity(11, 24), 11),  # 2*ord x + 1
+            (RootOfUnity(7, 24), MINUS_ONE, 49),  # 2*ord x + 1
+        ],
+    )
+    def test_batched_head_rows_equal_scalar_loop(self, k, x, y, n0):
+        shapes = _SHAPES[:k]
+        t_n0 = [tail_sum(s, x, n0).value for s, _ in shapes]
+        rows = _li_head(t_n0, shapes, x, y, n0)
+        for (s, t), tv, (head, mass) in zip(shapes, t_n0, rows):
+            ref_head, ref_mass = _scalar_head(tv, s, t, x, y, n0)
+            assert (repr(head), repr(mass)) == (repr(ref_head), repr(ref_mass)), (s, t)
+
+    @pytest.mark.parametrize("k", [2, 7, 18])
+    @pytest.mark.parametrize(
+        "x, y, n0",
+        [(ONE, ONE, 128), (RootOfUnity(5, 12), I, 192), (RootOfUnity(7, 24), RootOfUnity(3, 8), 49)],
+    )
+    def test_batch_equals_each_shape_alone(self, k, x, y, n0):
+        shapes = _SHAPES[:k]
+        alone = [_li_once(s, t, x, y, n0) for s, t in shapes]
+        assert [(repr(v), repr(b)) for v, b in _li_batch(shapes, x, y, n0)] == [
+            (repr(v), repr(b)) for v, b in alone
+        ]
+
+    def test_decomposition_equals_fresh_single_evaluations(self):
+        # Every index of weight <= 20, each at one seeded color pair of
+        # orders 1-24 whose product also has order <= 24, on one memo: the
+        # batches, the values computed ahead and the conjugates it serves
+        # must all equal each term evaluated alone.
+        rng = random.Random(20261018)
+        orders = [(a, b) for a in range(1, 25) for b in range(1, 25) if math.lcm(a, b) <= 24]
+
+        def root(n):
+            return RootOfUnity(rng.choice([k for k in range(n) if math.gcd(k, n) == 1]), n)
+
+        eval_li.cache_clear()
+        for idx in enumerate_indices(20):
+            a, b = rng.choice(orders)
+            d = decompose(idx, root(a), root(b))
+            got = eval_decomposition(d)
+            alone = ValueWithError.combine(
+                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, max(128, 16 * u.x.order))))
+                for u in d.terms
+            )
+            assert (repr(got.value), repr(got.error_bound)) == (repr(alone.value), repr(alone.error_bound)), d
+        assert eval_li.cache_info().hits > 0
+        eval_li.cache_clear()
+
+    def test_accounting(self, monkeypatch):
+        # hits + misses = eval_li calls, one call per term; every miss makes
+        # one head tail_sum call; a conjugate served from the memo is a hit.
+        li_calls, heads = [], []
+
+        def counted_li(*args):
+            li_calls.append(args)
+            return eval_li(*args)
+
+        def counted_tail_sum(s, x, n, order=8):
+            if order == 8:
+                heads.append((s, x, n))
+            return tail_sum(s, x, n, order)
+
+        monkeypatch.setattr(evaluate, "eval_li", counted_li)
+        monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
+        eval_li.cache_clear()
+        terms = 0
+        for idx in enumerate_indices(6):
+            for alpha, beta in [(I, W3), (I.conjugate(), W3.conjugate()), (RootOfUnity(1, 8), MINUS_ONE)]:
+                d = decompose(idx, alpha, beta)
+                eval_decomposition(d)
+                terms += len(d.terms)
+        info = eval_li.cache_info()
+        assert info.hits + info.misses == len(li_calls) == terms
+        assert info.misses == len(heads) and info.hits > 0
+
+        eval_li.cache_clear()
+        eval_li(3, 2, I, W3)
+        v = eval_li(3, 2, I.conjugate(), W3.conjugate())
+        assert eval_li.cache_info()[:2] == (1, 1) and len(heads) == info.misses + 1
+        assert v == ValueWithError(eval_li(3, 2, I, W3).value.conjugate(), eval_li(3, 2, I, W3).error_bound)
+
+    def test_cache_clear_empties_the_values_computed_ahead(self, monkeypatch):
+        heads = []
+
+        def counted_tail_sum(s, x, n, order=8):
+            if order == 8:
+                heads.append(s)
+            return tail_sum(s, x, n, order)
+
+        monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
+        monkeypatch.setattr(evaluate._li_memo, "siblings", {(I, W3): dict.fromkeys([(2, 1), (3, 2), (5, 1)])})
+        eval_li.cache_clear()
+        eval_li(3, 2, I, W3)
+        assert (eval_li.cache_info().misses, eval_li.cache_info().currsize, heads) == (1, 3, [3, 2, 5])
+        eval_li.cache_clear()
+        assert eval_li.cache_info() == (0, 0, None, 0)
+        eval_li(5, 1, I, W3)  # computed again, with its siblings
+        assert (eval_li.cache_info().misses, heads[3:]) == (1, [5, 2, 3])
+        eval_li.cache_clear()
 
 
 class TestOracle:
