@@ -19,6 +19,7 @@ from .verify import (
     color_pairs,
     cross_check_grid,
     format_report_table,
+    grid_cases,
     load_relations,
     reports_to_json,
     verify_fixtures,
@@ -134,6 +135,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    grid_cases(args.grid_weight, args.orders)  # refuse a bad grid before the fixtures run
     reports: list[Report] = []
 
     fixture_reports = verify_fixtures(args.fixtures)

@@ -83,22 +83,15 @@ Summation machinery, bottom up:
   integral-comparison tail bound.  Each anti-diagonal is one row of a
   sliding-window view of the m^-p table times the column n^-q (times
   alpha^n), so no index arrays are built and scratch memory is O(cutoff).
-  Those row sums, with the k^-r table and the bound (oracle_rows), do not
-  depend on beta: a sweep builds them once per (index, alpha) and each call
-  only weights them by beta^k.  beta^k depends on k mod ord beta alone, so
-  a call sums the k^-r-weighted real and imaginary rows per residue class,
-  sequentially in k, and combines the class sums with real products of
-  beta^c in one fsum per part.  The modulus row, the k^-r table and the
-  bound do not depend on alpha either, so OracleRows.recolor shares them
-  across an index's alphas.  Exact arithmetic fixes the other rows at
-  alpha = 1 (real row = modulus row, imaginary row zeros), the imaginary
-  row at alpha = -1 (zeros), and both rows of a conjugate right after its
-  root (real row and 0.0 - imaginary row), so only the rows it leaves open
-  are contracted, with the bits of a contraction.  It builds its own phases
-  root^j from root_value, only for the j that cutoff reaches, and reads
-  none of the Li layer's memos.  After the rows it multiplies and adds
-  only reals, so its values, like the Li layer's, have the same bits at
-  every SIMD level.
+  Those row sums, with the k^-r table and the bound, are one OracleRows
+  (oracle_rows): they do not depend on beta, so a sweep builds them once
+  per (index, alpha) and each call only weights them by beta^k, per
+  residue class of k mod ord beta (eval_mt_direct).  Their alpha-free part
+  does not depend on alpha either; OracleRows.recolor shares it and
+  contracts only the rows exact arithmetic leaves open.  The oracle builds
+  its own phases root^j from root_value and reads none of the Li layer's
+  memos.  After the rows it multiplies and adds only reals, so its values,
+  like the Li layer's, have the same bits at every SIMD level.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -125,7 +118,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum
@@ -740,111 +733,86 @@ def _contract(window: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _AlphaFree:
-    """What the oracle needs of one (index, cutoff) whatever alpha is.
+class OracleRows:
+    """The beta-free part of eval_mt_direct for one (index, alpha, cutoff).
 
-    window is the read-only sliding-window view of the m^-p table whose row
-    k-2 is diagonal k: window[k-2, n-1] = (k-n)^-p for n < k, else 0.  b is
-    the n^-q column, mod the modulus row sum_n (k-n)^-p n^-q, kf the k^-r
-    table (k = 2..cutoff) and bound the beta-free error bound: the tail
-    bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r.
+    re and im are read-only rows of cutoff-1 entries: entry k-2 is the sum
+    over n of diagonal k = m+n of the real and the imaginary part of
+    alpha^n / (m^p n^q).  The other fields do not depend on alpha, and
+    recolor shares them: window, the read-only sliding-window view of the
+    m^-p table whose row k-2 is diagonal k (window[k-2, n-1] = (k-n)^-p for
+    n < k, else 0); b, the n^-q column; mod, the modulus row
+    sum_n (k-n)^-p n^-q; kf, the k^-r table (k = 2..cutoff); and bound,
+    the tail bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r.
     """
 
     index: MTIndex
     cutoff: int
+    alpha: RootOfUnity
+    re: np.ndarray
+    im: np.ndarray
     window: np.ndarray
     b: np.ndarray
     mod: np.ndarray
     kf: np.ndarray
     bound: float
 
-    @classmethod
-    def build(cls, index: MTIndex, cut: int) -> _AlphaFree:
-        ns = np.arange(1, cut, dtype=np.float64)
-        a = _neg_int_pow(ns, index.p)
-        b = _neg_int_pow(ns, index.q)
-        zr = np.concatenate((a[::-1], np.zeros(max(cut - 2, 0))))
-        window = np.lib.stride_tricks.sliding_window_view(zr, cut - 1)[::-1]
-        mod = _contract(window, b)
-        kf = _neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r)
-        kf.flags.writeable = False
-        mass = fsum((mod * kf).tolist())
-        bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
-        return cls(index, cut, window, b, mod, kf, bound)
-
-
-@dataclass(frozen=True, eq=False)
-class OracleRows:
-    """The beta-free part of eval_mt_direct for one (index, alpha, cutoff).
-
-    rows is a read-only 3 x (cutoff-1) array: row k-2 of each holds the sum
-    over n of diagonal k = m+n of the real part, the imaginary part and the
-    modulus of alpha^n / (m^p n^q).  The modulus row, the k^-r table kf and
-    the bound (the tail bound plus eps*(cutoff+64)*mass, mass = sum_k
-    (modulus row k) * k^-r) do not depend on alpha: they live in the
-    alpha-free part, which recolor shares.
-    """
-
-    free: _AlphaFree
-    alpha: RootOfUnity
-    rows: np.ndarray
-
-    index = property(lambda self: self.free.index)
-    cutoff = property(lambda self: self.free.cutoff)
-    kf = property(lambda self: self.free.kf)
-    bound = property(lambda self: self.free.bound)
-
-    @classmethod
-    def _colored(cls, free: _AlphaFree, alpha: RootOfUnity, prev: OracleRows | None = None) -> OracleRows:
+    def recolor(self, alpha: RootOfUnity) -> OracleRows:
         """The rows of alpha, contracting only what exact arithmetic leaves open.
 
         root_value gives exact axis points and exactly conjugate doubles, so:
         at alpha = 1 the real row is the modulus row and the imaginary row
-        zeros; at alpha = -1 only the real row is contracted; right after
-        prev = conj(alpha) the rows are prev's real row and 0.0 - prev's
-        imaginary row, because every product of that row's contraction is
-        negated exactly and so is its sum.  Not -im: a diagonal that cancels
-        to +0.0 must stay +0.0, as its own contraction gives it, where -im
-        would give -0.0.  Any other alpha contracts both rows.
+        zeros; at alpha = -1 only the real row is contracted; at
+        alpha = conj(self.alpha) the rows are self's real row and 0.0 -
+        self's imaginary row, because every product of that row's
+        contraction is negated exactly and so is its sum.  Not -im: a
+        diagonal that cancels to +0.0 must stay +0.0, as its own contraction
+        gives it, where -im would give -0.0.  Any other alpha contracts both
+        rows.  The bits are those of the contractions.
         """
-        zeros = np.zeros(free.cutoff - 1)
+        _check_root_orders("OracleRows.recolor", alpha=alpha)
+        if alpha == self.alpha:
+            return self
+        zeros = np.zeros(self.cutoff - 1)
         if alpha.order == 1:
-            re, im = free.mod, zeros
-        elif prev is not None and alpha == prev.alpha.conjugate():
-            re, im = prev.rows[0], 0.0 - prev.rows[1]
+            re, im = self.mod, zeros
+        elif alpha == self.alpha.conjugate():
+            re, im = self.re, 0.0 - self.im
         else:
             # alpha^j for the j = n mod order that n < cutoff reaches, built
             # here: the oracle reads no Li-layer memo.
-            alpha_j = np.array([root_value(alpha**j) for j in range(min(alpha.order, free.cutoff))])
-            phase = alpha_j[np.arange(1, free.cutoff) % alpha.order]
-            re = _contract(free.window, phase.real * free.b)
-            im = zeros if alpha.order == 2 else _contract(free.window, phase.imag * free.b)
-        rows = np.stack((re, im, free.mod))
-        rows.flags.writeable = False
-        return cls(free, alpha, rows)
-
-    def recolor(self, alpha: RootOfUnity) -> OracleRows:
-        """The rows of the same index and cutoff for another alpha.
-
-        Shares the alpha-free part, and derives a conjugate's rows from
-        these without a contraction; the bits are those of oracle_rows.
-        """
-        _check_root_orders("OracleRows.recolor", alpha=alpha)
-        return self if alpha == self.alpha else self._colored(self.free, alpha, self)
+            alpha_j = np.array([root_value(alpha**j) for j in range(min(alpha.order, self.cutoff))])
+            phase = alpha_j[np.arange(1, self.cutoff) % alpha.order]
+            re = _contract(self.window, phase.real * self.b)
+            im = zeros if alpha.order == 2 else _contract(self.window, phase.imag * self.b)
+        im.flags.writeable = False
+        return replace(self, alpha=alpha, re=re, im=im)
 
 
 def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
     """The oracle's diagonal sums over n, its k^-r table and its bound.
 
-    A diagonal's sum over n is a row of a read-only sliding-window view of
-    the m^-p table contracted with n^-q alpha^n by numpy's einsum loop,
-    without BLAS and in an unspecified but fixed order.  The modulus row is
-    always contracted; alpha = 1 contracts nothing else, alpha = -1 only the
-    real row, any other alpha the real and imaginary rows (OracleRows).
-    Scratch memory is O(cutoff), time O(cutoff^2) per row.
+    Builds the alpha-free part, with the rows of alpha = 1 (the modulus row
+    and zeros, no contraction of their own), and returns its recolor(alpha).
+    Every row is a row of the window contracted by _contract.  Scratch
+    memory is O(cutoff), time O(cutoff^2) per row.
     """
     _check_root_orders("oracle_rows", alpha=alpha)
-    return OracleRows._colored(_AlphaFree.build(index, cfg.oracle_cutoff), alpha)
+    cut = cfg.oracle_cutoff
+    ns = np.arange(1, cut, dtype=np.float64)
+    a = _neg_int_pow(ns, index.p)
+    b = _neg_int_pow(ns, index.q)
+    b.flags.writeable = False
+    zr = np.concatenate((a[::-1], np.zeros(max(cut - 2, 0))))
+    window = np.lib.stride_tricks.sliding_window_view(zr, cut - 1)[::-1]
+    mod = _contract(window, b)
+    kf = _neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r)
+    kf.flags.writeable = False
+    mass = fsum((mod * kf).tolist())
+    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
+    zeros = np.zeros(cut - 1)
+    zeros.flags.writeable = False
+    return OracleRows(index, cut, ONE, mod, zeros, window, b, mod, kf, bound).recolor(alpha)
 
 
 def eval_mt_direct(
@@ -918,7 +886,7 @@ def eval_mt_direct(
         if got != want:
             raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
     classes = np.arange(2, cut + 1) % beta.order
-    sr, si = (np.bincount(classes, weights=row * rows.kf).tolist() for row in rows.rows[:2])
+    sr, si = (np.bincount(classes, weights=row * rows.kf).tolist() for row in (rows.re, rows.im))
     # beta^c built here: the oracle reads no Li-layer memo.
     phases = [root_value(beta**c) for c in range(len(sr))]
     re = fsum([b.real * x for b, x in zip(phases, sr)] + [-b.imag * y for b, y in zip(phases, si)])

@@ -71,8 +71,8 @@ class Report:
             "status": self.status,
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "absdiff": self.absdiff,
-            "bound": self.bound,
+            "absdiff": _finite_or_none(self.absdiff),
+            "bound": _finite_or_none(self.bound),
             "ms": round(self.ms, 3),
             "detail": self.detail,
         }
@@ -98,8 +98,13 @@ def _cfmt(v: complex) -> str:
     return f"{v.real:.12g}{v.imag:+.12g}i"
 
 
+def _finite_or_none(x: float) -> float | None:
+    """JSON (RFC 8259) has no NaN or infinity: a non-finite number is null."""
+    return x if math.isfinite(x) else None
+
+
 def reports_to_json(reports: list[Report]) -> str:
-    return json.dumps([r.record() for r in reports], indent=2)
+    return json.dumps([r.record() for r in reports], indent=2, allow_nan=False)
 
 
 def format_report_table(reports: list[Report]) -> str:
@@ -195,6 +200,11 @@ def verify_fixtures(path: str | None = None) -> list[Report]:
 # ---------------------------------------------------------------------------
 # Cross-check grid: decomposition versus the direct-sum oracle.
 
+# Largest number of cases cross_check_grid runs, 16 times the acceptance
+# grid's 4068 (weight <= 8, orders 1-4): its reports, and the indices
+# enumerate_indices builds up front, grow with the count.
+MAX_GRID_CASES = 2**16
+
 
 def enumerate_indices(max_weight: int) -> list[MTIndex]:
     out = []
@@ -207,13 +217,12 @@ def enumerate_indices(max_weight: int) -> list[MTIndex]:
     return out
 
 
-def color_pairs(orders: list[int]) -> list[tuple[RootOfUnity, RootOfUnity]]:
-    """Every (alpha, beta) over the distinct roots of the given orders.
+def _color_pair_count(orders: list[int]) -> int:
+    """The number of pairs color_pairs(orders) builds, counted without a root.
 
-    More than MAX_COLOR_PAIRS pairs is a ValueError, raised before any root
-    is built: the N-th roots alone give N^2 pairs, and below that bound the
-    distinct roots are counted as the sum of phi(d) over the divisors d of
-    the orders.
+    More than MAX_COLOR_PAIRS is a ValueError: the N-th roots alone give
+    N^2 pairs, and below that bound the distinct roots are counted as the
+    sum of phi(d) over the divisors d of the orders.
     """
     distinct = set(orders)
     top = max(distinct, default=1)
@@ -225,9 +234,40 @@ def color_pairs(orders: list[int]) -> list[tuple[RootOfUnity, RootOfUnity]]:
         raise ValueError(
             f"color_pairs: orders up to {top} give more than MAX_COLOR_PAIRS = 2**16 color pairs"
         )
+    return pairs
+
+
+def color_pairs(orders: list[int]) -> list[tuple[RootOfUnity, RootOfUnity]]:
+    """Every (alpha, beta) over the distinct roots of the given orders.
+
+    More than MAX_COLOR_PAIRS pairs is a ValueError, raised before any root
+    is built (_color_pair_count).
+    """
+    _color_pair_count(orders)
     roots = {RootOfUnity(k, n) for n in orders for k in range(n)}
     ordered = sorted(roots, key=RootOfUnity.sort_key)
     return [(a, b) for a in ordered for b in ordered]
+
+
+def grid_cases(max_weight: int, orders: list[int]) -> int:
+    """The number of cases of cross_check_grid(max_weight, orders).
+
+    Counted in closed form, before any index or root is built: weight w
+    has C(w+2, 2) - 7 indices (the triples summing to w, less (0,0,w) and
+    the six with p+r <= 1 or q+r <= 1), so weights 3..W have
+    C(W+3, 3) - 10 - 7*(W-2), each with every color pair.  A max_weight
+    below 3, or more than MAX_GRID_CASES cases, is a ValueError.
+    """
+    if max_weight < 3:
+        raise ValueError(f"cross_check_grid: max_weight must be >= 3, got {max_weight}")
+    pairs = _color_pair_count(orders)
+    cases = (math.comb(max_weight + 3, 3) - 10 - 7 * (max_weight - 2)) * pairs
+    if cases > MAX_GRID_CASES:
+        raise ValueError(
+            f"cross_check_grid: weight <= {max_weight} and orders {orders} give {cases} cases, "
+            "more than MAX_GRID_CASES = 2**16"
+        )
+    return cases
 
 
 def cross_check_grid(
@@ -235,19 +275,14 @@ def cross_check_grid(
 ) -> list[Report]:
     """Oracle vs decomposition on every index/color case, combined bounds.
 
-    The pairs run alpha-major, so the oracle's beta-free rows are built once
-    per (index, alpha) and shared by every beta.  The first alpha of an
-    index builds them with oracle_rows, the alpha-free modulus row, k^-r
-    table and bound included; each later alpha recolors the rows it follows
-    (OracleRows.recolor), sharing that alpha-free part, and a conjugate
-    following its alpha contracts nothing.  Rows are built inside the timed
-    window of their (index, alpha)'s first case: the index's first case
-    carries the alpha-free part and its alpha's rows in its Report.ms, the
-    first case of each later alpha that alpha's rows only.  Every ms of the
+    The pairs run alpha-major, so the oracle's beta-free rows
+    (OracleRows) are built once per (index, alpha) and shared by every
+    beta: the index's first alpha builds them with oracle_rows, and each
+    later alpha recolors the rows it follows.  Rows are built inside the
+    timed window of their (index, alpha)'s first case, so every ms of the
     sweep is charged to some case.
     """
-    if max_weight < 3:
-        raise ValueError("max_weight must be >= 3")
+    grid_cases(max_weight, orders)
     reports = []
     pairs = color_pairs(orders)
     for idx in enumerate_indices(max_weight):

@@ -185,6 +185,33 @@ def test_verify_refuses_an_oversized_color_grid(capsys):
     assert "MAX_COLOR_PAIRS = 2**16" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("weight, constraint", [("2", "max_weight must be >= 3"), ("10000", "MAX_GRID_CASES = 2**16")])
+def test_verify_refuses_a_grid_weight_before_any_check(weight, constraint, capsys):
+    # Weight 2 used to be refused only after the fixtures and R(2,1,2) had
+    # run, and weight 10000 would build 1.7e11 indices up front.
+    assert run(["verify", "--grid-weight", weight]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cross_check_grid: ")
+    assert constraint in err and "Traceback" not in err
+
+
+def test_verify_json_of_a_failing_fixture_is_strict_json(tmp_path, capsys):
+    # A symbolic mismatch has no numeric difference; RFC 8259 has no NaN,
+    # so it must be written as null.
+    fixtures = tmp_path / "fx.txt"
+    fixtures.write_text("R(2,1,2) = z(-3,-2) + z(-4,-1) + 2*z(4,-1)\n", encoding="utf-8")
+    json_path = tmp_path / "reports.json"
+    code = run(["verify", "--fixtures", str(fixtures), "--grid-weight", "3", "--json", str(json_path)])
+    assert code == 1 and "fixtures: 0/1 pass" in capsys.readouterr().out
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    records = json.loads(json_path.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert records[0]["status"] == "fail" and records[0]["absdiff"] is None
+    assert records[0]["bound"] == 0.0 and "z(4,-1): got 1, expected 2" in records[0]["detail"]
+
+
 def test_verify_bad_fixture_file_names_the_line(tmp_path, capsys):
     bad = tmp_path / "fx.txt"
     bad.write_text("R(1,1,3) = z(-4,-1) + z(4,-1)\n# comment\nR(2,1,2) = 2 z(3,2)\n", encoding="utf-8")

@@ -471,44 +471,41 @@ class TestLiMemos:
             (repr(v.value), repr(v.error_bound)) for v in cold
         ]
 
-    @pytest.mark.parametrize(
-        "s, t, x, y, n0",
-        [
-            (2, 1, ONE, ONE, 1),
-            (2, 1, ONE, ONE, 128),
-            (3, 2, I, W3, 200),
-            (4, 1, MINUS_ONE, RootOfUnity(5, 12), 64),
-            (9, 7, RootOfUnity(7, 24), RootOfUnity(3, 8), 389),
-            (2, 18, RootOfUnity(2, 5), RootOfUnity(11, 24), 512),
-        ],
-    )
-    def test_vector_head_equals_scalar_loop(self, s, t, x, y, n0):
-        t_n0 = tail_sum(s, x, n0).value
-        ((head, mass),) = _li_head([t_n0], [(s, t)], x, y, n0)
-        ref_head, ref_mass = _scalar_head(t_n0, s, t, x, y, n0)
-        assert repr(head) == repr(ref_head) and repr(mass) == repr(ref_mass)
-
 
 # 18 distinct shapes of mixed weights; a batch of k takes the first k.
 _SHAPES = random.Random(14).sample([(s, t) for s in range(2, 20) for t in range(1, 19)], 18)
+# The head check's cases: batches of the first k shapes per color case, and
+# single shapes (batches of one) from n0 = 1 up.
+_HEAD_COLORS = [
+    (ONE, ONE, 128),
+    (RootOfUnity(5, 12), I, 192),
+    (RootOfUnity(7, 24), RootOfUnity(3, 8), 384),
+    (RootOfUnity(2, 5), RootOfUnity(11, 24), 11),  # 2*ord x + 1
+    (RootOfUnity(7, 24), MINUS_ONE, 49),  # 2*ord x + 1
+]
+_HEAD_SINGLES = [
+    (2, 1, ONE, ONE, 1),
+    (2, 1, ONE, ONE, 128),
+    (3, 2, I, W3, 200),
+    (4, 1, MINUS_ONE, RootOfUnity(5, 12), 64),
+    (9, 7, RootOfUnity(7, 24), RootOfUnity(3, 8), 389),
+    (2, 18, RootOfUnity(2, 5), RootOfUnity(11, 24), 512),
+]
+_HEAD_CASES = [
+    pytest.param(_SHAPES[:k], x, y, n0, id=f"x{i}-y{i}-{n0}-{k}")
+    for k in (1, 2, 7, 18)
+    for i, (x, y, n0) in enumerate(_HEAD_COLORS)
+]
+_HEAD_CASES += [
+    pytest.param([(s, t)], x, y, n0, id=f"{s}-{t}-x{i}-y{i}-{n0}") for i, (s, t, x, y, n0) in enumerate(_HEAD_SINGLES)
+]
 
 
 class TestLiBatch:
     """One _li_batch per (x, y, n0) gives each shape the bits it has alone."""
 
-    @pytest.mark.parametrize("k", [1, 2, 7, 18])
-    @pytest.mark.parametrize(
-        "x, y, n0",
-        [
-            (ONE, ONE, 128),
-            (RootOfUnity(5, 12), I, 192),
-            (RootOfUnity(7, 24), RootOfUnity(3, 8), 384),
-            (RootOfUnity(2, 5), RootOfUnity(11, 24), 11),  # 2*ord x + 1
-            (RootOfUnity(7, 24), MINUS_ONE, 49),  # 2*ord x + 1
-        ],
-    )
-    def test_batched_head_rows_equal_scalar_loop(self, k, x, y, n0):
-        shapes = _SHAPES[:k]
+    @pytest.mark.parametrize("shapes, x, y, n0", _HEAD_CASES)
+    def test_batched_head_rows_equal_scalar_loop(self, shapes, x, y, n0):
         t_n0 = [tail_sum(s, x, n0).value for s, _ in shapes]
         rows = _li_head(t_n0, shapes, x, y, n0)
         for (s, t), tv, (head, mass) in zip(shapes, t_n0, rows):
@@ -774,9 +771,11 @@ class TestSharedOracleRows:
 
     def test_rows_are_read_only(self):
         rows = oracle_rows(MTIndex(2, 1, 2), I, EvalConfig(oracle_cutoff=40))
-        assert (rows.index, rows.alpha, rows.cutoff, rows.rows.shape) == (MTIndex(2, 1, 2), I, 40, (3, 39))
-        with pytest.raises(ValueError):
-            rows.rows[0, 0] = 1.0
+        assert (rows.index, rows.alpha, rows.cutoff) == (MTIndex(2, 1, 2), I, 40)
+        assert rows.re.shape == rows.im.shape == rows.mod.shape == (39,)
+        for row in (rows.re, rows.im):
+            with pytest.raises(ValueError):
+                row[0] = 1.0
 
     @pytest.mark.parametrize(
         "field, index, alpha, cut",
@@ -831,13 +830,18 @@ def _three_contractions(index, alpha, cut):
     return rows
 
 
+def _row_bytes(rows):
+    """The real, imaginary and modulus rows as one 3 x (cutoff-1) array."""
+    return np.stack((rows.re, rows.im, rows.mod)).tobytes()
+
+
 def _class_sum_reference(rows, beta):
     """eval_mt_direct's beta weighting in plain Python: class c = k mod
     ord beta of the k^-r-weighted real and imaginary rows summed with
     s += w_k in the order of k, then the real products with beta^c fsum'd
     once per part."""
     sums = {}
-    re, im, _ = rows.rows.tolist()
+    re, im = rows.re.tolist(), rows.im.tolist()
     for k, x, y, f in zip(range(2, rows.cutoff + 1), re, im, rows.kf.tolist()):
         sx, sy = sums.get(k % beta.order, (0.0, 0.0))
         sx += x * f
@@ -877,12 +881,29 @@ class TestOracleRowClasses:
         idx, cfg = MTIndex(*pqr), EvalConfig(oracle_cutoff=cut)
         want = {alpha: _three_contractions(idx, alpha, cut) for alpha in ROOTS_1_TO_12}
         for alpha in ROOTS_1_TO_12:
-            assert oracle_rows(idx, alpha, cfg).rows.tobytes() == want[alpha].tobytes(), alpha
+            assert _row_bytes(oracle_rows(idx, alpha, cfg)) == want[alpha].tobytes(), alpha
         for colors in (ROOTS_1_TO_12, ROOTS_1_TO_12_CONJUGATE_FIRST):
             rows = oracle_rows(idx, colors[0], cfg)
             for alpha in colors:
                 rows = rows.recolor(alpha)
-                assert rows.rows.tobytes() == want[alpha].tobytes(), alpha
+                assert _row_bytes(rows) == want[alpha].tobytes(), alpha
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("pqr", ROW_CLASS_INDICES)
+    def test_recoloring_back_to_a_real_alpha_equals_three_contractions(self, pqr, cut):
+        # alpha = 1 takes the modulus row and zeros, alpha = -1 contracts
+        # its real row, whatever root the rows were recolored from.
+        idx, cfg = MTIndex(*pqr), EvalConfig(oracle_cutoff=cut)
+        want = {alpha: _three_contractions(idx, alpha, cut).tobytes() for alpha in (ONE, MINUS_ONE)}
+        for alpha in ROOTS_1_TO_12:
+            rows = oracle_rows(idx, alpha, cfg)
+            for back in (ONE, MINUS_ONE):
+                assert _row_bytes(rows.recolor(back)) == want[back], (alpha, back)
+
+    def test_alpha_one_rows_are_the_modulus_row_and_zeros(self):
+        rows = oracle_rows(MTIndex(2, 1, 2), ONE, EvalConfig(oracle_cutoff=40))
+        assert rows.alpha == ONE and rows.re is rows.mod
+        assert rows.im.tobytes() == np.zeros(39).tobytes() and not rows.im.flags.writeable
 
     def test_a_conjugate_row_keeps_the_zeros_of_exact_cancellation(self):
         # For p = q the imaginary row cancels to +0.0 on some diagonals;
@@ -896,10 +917,13 @@ class TestOracleRowClasses:
         rows = oracle_rows(MTIndex(2, 1, 2), I, EvalConfig(oracle_cutoff=40))
         other = rows.recolor(W3)
         assert (other.index, other.alpha, other.cutoff) == (MTIndex(2, 1, 2), W3, 40)
-        assert other.free is rows.free and other.kf is rows.kf and other.bound == rows.bound
+        for field in ("window", "b", "mod", "kf"):
+            assert getattr(other, field) is getattr(rows, field), field
+        assert other.bound == rows.bound
         assert rows.recolor(I) is rows
-        with pytest.raises(ValueError):
-            other.rows[0, 0] = 1.0
+        for row in (other.re, other.im):
+            with pytest.raises(ValueError):
+                row[0] = 1.0
         with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
             rows.recolor(RootOfUnity(1, MAX_ROOT_ORDER + 1))
 

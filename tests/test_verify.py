@@ -24,8 +24,9 @@ from tornheim import (
     verify_fixtures,
     verify_r212,
 )
+from tornheim import verify
 from tornheim.evaluate import MAX_COLOR_PAIRS
-from tornheim.verify import format_report_table, parse_fixture_line, reports_to_json
+from tornheim.verify import MAX_GRID_CASES, format_report_table, grid_cases, parse_fixture_line, reports_to_json
 
 FAST = EvalConfig(oracle_cutoff=1200)
 
@@ -118,6 +119,25 @@ class TestGrid:
         for orders in ([1, 2, 3, 4], list(range(1, 25)), [12, 18], [199, 1]):
             roots = {RootOfUnity(k, n) for n in orders for k in range(n)}
             assert len(color_pairs(orders)) == len(roots) ** 2
+
+    def test_grid_cases_count_the_grid_in_closed_form(self):
+        for orders in ([1], [1, 2], [1, 2, 3, 4], [5, 7]):
+            for w in range(3, 13):
+                assert grid_cases(w, orders) == len(enumerate_indices(w)) * len(color_pairs(orders))
+        assert grid_cases(8, [1, 2, 3, 4]) == 4068
+
+    def test_grid_limit_is_checked_before_any_index_is_built(self, monkeypatch):
+        # Weight 80 alone gives 91325 indices (9.6 MB up front); weight 2
+        # has none.  Both are refused before enumerate_indices runs.
+        assert grid_cases(71, [1]) <= MAX_GRID_CASES
+        with pytest.raises(ValueError, match=r"weight <= 72 and orders \[1\] give 67025 cases"):
+            grid_cases(72, [1])
+        monkeypatch.setattr(verify, "enumerate_indices", lambda w: pytest.fail(f"enumerate_indices({w}) ran"))
+        for w in (72, 80, 10**9):
+            with pytest.raises(ValueError, match=r"MAX_GRID_CASES = 2\*\*16"):
+                cross_check_grid(w, [1])
+        with pytest.raises(ValueError, match="max_weight must be >= 3"):
+            cross_check_grid(2, [1, 2])
 
     def test_color_pairs_deduplicated(self):
         roots = {a for a, _ in color_pairs([2, 4])}
