@@ -15,8 +15,8 @@ from .decompose import MTIndex, decompose, to_level2
 from .evaluate import EvalConfig, ValueWithError, eval_decomposition, eval_mt_direct
 from .verify import (
     Report,
+    _color_pair_count,
     check_relation,
-    color_pairs,
     cross_check_grid,
     format_report_table,
     grid_cases,
@@ -44,7 +44,7 @@ def _orders(text: str) -> list[int]:
     if not orders or any(n < 1 for n in orders):
         raise argparse.ArgumentTypeError("orders must be positive integers")
     try:
-        color_pairs(orders)  # an oversized grid is refused before any work
+        _color_pair_count(orders)  # an oversized grid is refused before any root is built
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return orders

@@ -80,18 +80,23 @@ Summation machinery, bottom up:
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
   truncated double sum of the defining series, with a color-independent
-  integral-comparison tail bound.  Each anti-diagonal is one row of a
-  sliding-window view of the m^-p table times the column n^-q (times
-  alpha^n), so no index arrays are built and scratch memory is O(cutoff).
-  Those row sums, with the k^-r table and the bound, are one OracleRows
-  (oracle_rows): they do not depend on beta, so a sweep builds them once
-  per (index, alpha) and each call only weights them by beta^k, per
-  residue class of k mod ord beta (eval_mt_direct).  Their alpha-free part
-  does not depend on alpha either; OracleRows.recolor shares it and
-  contracts only the rows exact arithmetic leaves open.  The oracle builds
-  its own phases root^j from root_value and reads none of the Li layer's
-  memos.  After the rows it multiplies and adds only reals, so its values,
-  like the Li layer's, have the same bits at every SIMD level.
+  integral-comparison tail bound.  The diagonal sums over n, with the k^-r
+  table and the bound, are one OracleRows (oracle_rows): they do not
+  depend on beta, so a sweep builds them once per (index, alpha) and each
+  call only weights them by beta^k, per residue class of k mod ord beta
+  (eval_mt_direct).  alpha^n depends only on n mod ord alpha, so for
+  ord alpha <= _MAX_CLASS_ORDER = 16 the rows are real combinations of the
+  class rows C_c(k) = sum_{n = c mod ord alpha} (k-n)^-p n^-q.  The m^-p
+  of each residue class of m form a sliding window of their own, so one
+  pass over these windows, cutoff^2/2 multiply-adds whatever the order,
+  gives every class row, and OracleRows.recolor to another root of the
+  same order contracts nothing.  A higher order contracts the plain
+  window against phase-weighted columns instead.  No index arrays are
+  built and scratch memory is O(cutoff), at most about 40*cutoff doubles.
+  The oracle builds its own phases root^j from root_value and reads none
+  of the Li layer's memos.  After the class rows it multiplies and adds
+  only reals, so its values, like the Li layer's, have the same bits at
+  every SIMD level.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -103,15 +108,15 @@ Zimmermann, Math. Comp. 76 (2007)).
 
 Compensated summation: math.fsum (exactly rounded) combines all scalar
 series and the oracle's beta-weighted class sums.  The oracle sums the
-terms within a diagonal with numpy's own einsum loop, never BLAS, in an
-unspecified order that is fixed for a given cutoff and numpy build, and
-the diagonals of each residue class mod ord beta one after the other in
-k order (np.bincount), so its results are deterministic and do not
-change with the BLAS thread count.  Recursive summation of n terms in any
-order errs by at most gamma_(n-1) times their absolute sum (Higham,
-Accuracy and Stability of Numerical Algorithms, 4.2); eval_mt_direct
-derives from that that the roundoff allowance eps*(cutoff+64)*mass covers
-both orders.
+terms of a diagonal's alpha class with numpy's own einsum loop, never
+BLAS, in an unspecified order that is fixed for a given cutoff and numpy
+build, the classes of a diagonal in the order of c, and the diagonals of
+each residue class mod ord beta one after the other in k order
+(np.bincount), so its results are deterministic and do not change with
+the BLAS thread count.  Any summation of n terms errs by at most
+gamma_(n-1) times their absolute sum (Higham, Accuracy and Stability of
+Numerical Algorithms, 4.2); eval_mt_direct derives from that that the
+roundoff allowance eps*(cutoff+64)*mass covers these orders.
 """
 from __future__ import annotations
 
@@ -152,8 +157,19 @@ _BERNOULLI = {
 _HEAD_ORDER = 8
 _LADDER_ORDER = 16
 
-# Diagonals per oracle row block; the block's window slice is 256 x k.
+# Diagonals per block of the plain oracle window; the block's slice is 256 x k.
 _ORACLE_BLOCK = 256
+
+# Rows per block of the residue windows of an order >= 2, every residue at
+# once.  A residue window is only cutoff/order long, and a shorter block
+# wastes less of the zero triangle above its diagonal: of 32, 64, 128 and
+# 256, 64 was fastest or within 3% of it for orders 2-16 at cutoffs 1000
+# and 20000 on a 2-vCPU x86-64 VM.
+_CLASS_BLOCK = 64
+
+# Highest alpha order whose oracle rows come from residue classes: its
+# class rows take order*(cutoff-1) doubles.
+_MAX_CLASS_ORDER = 16
 
 # Largest oracle_cutoff accepted: the oracle's scratch memory grows as
 # O(cutoff) and its time as O(cutoff^2).
@@ -716,34 +732,101 @@ def oracle_tail_bound(p: int, q: int, r: int, cutoff: int) -> float:
     return piece(p, q) + piece(q, p)
 
 
-def _contract(window: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """One oracle row: entry k-2 is sum_n window[k-2, n-1] * col[n-1].
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    Each block of _ORACLE_BLOCK diagonals is contracted by numpy's einsum
-    loop, without BLAS and in an unspecified but fixed order.  Every row the
-    oracle sums passes through here; the result is read-only.
+
+def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
+    """out[r, c, i] = sum_j windows[r, i, j] * cols[c, j], every window against every column.
+
+    Each block of rows i is contracted by numpy's einsum loop, without BLAS:
+    every entry is one dot product over j, in an unspecified order that is
+    fixed for a given length and numpy build.  Every row the oracle sums
+    passes through here.
     """
-    size = len(col)
-    row = np.empty(size)
-    for i0 in range(0, size, _ORACLE_BLOCK):
-        i1 = min(i0 + _ORACLE_BLOCK, size)
-        row[i0:i1] = np.einsum("ij,j->i", window[i0:i1, :i1], col[:i1])
-    row.flags.writeable = False
-    return row
+    size = cols.shape[1]
+    out = np.empty((len(windows), len(cols), size))
+    for i0 in range(0, size, block):
+        i1 = min(i0 + block, size)
+        out[:, :, i0:i1] = np.einsum("rij,cj->rci", windows[:, i0:i1, :i1], cols[:, :i1])
+    return out
+
+
+def _windows(a: np.ndarray, order: int, length: int) -> np.ndarray:
+    """One sliding window of the m^-p table a per residue rho = 1..order of m.
+
+    windows[rho-1, s, i] = a[rho-1 + (s-i)*order] = (rho + (s-i)*order)^-p
+    for i <= s, else 0: a read-only view of an order x (2*length) array.
+    """
+    z = np.zeros((order, 2 * length))
+    z[:, :length] = a[: order * length].reshape(length, order).T[:, ::-1]
+    step = z.strides[1]
+    start = max(length - 1, 0) * step
+    return _read_only(np.ndarray((order, length, length), z.dtype, z, start, (z.strides[0], -step, step)))
+
+
+def _class_rows(a: np.ndarray, b: np.ndarray, order: int, size: int) -> np.ndarray:
+    """C_c(k) = sum_{n = c mod order, n < k} (k-n)^-p n^-q: row c-1, column k-2.
+
+    With m = rho + t*order and n = c + i*order (rho, c = 1..order), the
+    terms of class c on diagonal k = rho + c + s*order are a convolution of
+    two subsequences, so the window of residue rho, ceil(size/order) long,
+    contracted against the columns (c + i*order)^-q of every class gives
+    each entry C_c(k) as one dot product, and every term is in exactly one.
+    Together that is size^2/2 multiply-adds whatever the order.  Order 1
+    is the plain window against n^-q, in blocks of _ORACLE_BLOCK.
+    """
+    length = -(-size // order)
+    cols = np.ascontiguousarray(b[: order * length].reshape(length, order).T)
+    out = _contract(_windows(a, order, length), cols, _ORACLE_BLOCK if order == 1 else _CLASS_BLOCK)
+    # out[rho-1, c-1, s] belongs on diagonal k-2 = (c-1) + s*order + (rho-1).
+    # A view whose row stride is one element longer than the buffer's starts
+    # row c-1 at column c-1, so one copy puts every entry in place.  Columns
+    # past size hold diagonals beyond the cutoff.
+    width = size + 2 * order
+    buf = np.zeros((order, width))
+    step = buf.strides[1]
+    skewed = np.ndarray((order, length, order), buf.dtype, buf, 0, ((width + 1) * step, order * step, step))
+    skewed[...] = out.transpose(1, 2, 0)
+    return buf[:, :size]
+
+
+def _combine(classes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The rows re, im, mod: sum_c Re(alpha^c)*C_c, sum_c Im(alpha^c)*C_c and
+    sum_c C_c, a real product per class added in the order of c."""
+    weights = np.array([phases.real, phases.imag, np.ones(len(phases))])
+    rows = weights[:, :1] * classes[0]
+    for c in range(1, len(classes)):
+        rows += weights[:, c : c + 1] * classes[c]
+    return rows
+
+
+def _phases(alpha: RootOfUnity, count: int) -> np.ndarray:
+    """alpha^c for c = 1..count, built here: the oracle reads no Li-layer memo."""
+    return np.array([root_value(alpha**c) for c in range(1, count + 1)])
 
 
 @dataclass(frozen=True, eq=False)
 class OracleRows:
     """The beta-free part of eval_mt_direct for one (index, alpha, cutoff).
 
-    re and im are read-only rows of cutoff-1 entries: entry k-2 is the sum
-    over n of diagonal k = m+n of the real and the imaginary part of
-    alpha^n / (m^p n^q).  The other fields do not depend on alpha, and
-    recolor shares them: window, the read-only sliding-window view of the
-    m^-p table whose row k-2 is diagonal k (window[k-2, n-1] = (k-n)^-p for
-    n < k, else 0); b, the n^-q column; mod, the modulus row
-    sum_n (k-n)^-p n^-q; kf, the k^-r table (k = 2..cutoff); and bound,
-    the tail bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r.
+    re, im and mod are read-only rows of cutoff-1 entries: entry k-2 is the
+    sum over n of diagonal k = m+n of the real part, the imaginary part and
+    the modulus of alpha^n / (m^p n^q).  For ord alpha <= _MAX_CLASS_ORDER
+    they come from classes, the read-only ord alpha x (cutoff-1) class rows
+    C_c(k) = sum_{n = c mod ord alpha, n < k} (k-n)^-p n^-q, c = 1..ord
+    alpha (_class_rows): alpha^n = alpha^c is constant on a class, so
+    re = sum_c Re(alpha^c)*C_c, im = sum_c Im(alpha^c)*C_c and
+    mod = sum_c C_c, real products added in the order of c (_combine).
+    Order 1 is one contraction of the plain window: re and mod are its row,
+    im is +0.0.  Above _MAX_CLASS_ORDER the class rows would take more than
+    16*(cutoff-1) doubles, so there classes is None and the plain window is
+    contracted against alpha^n*n^-q, its real and imaginary parts, and
+    n^-q instead.  bound is the tail bound plus eps*(cutoff+64)*mass,
+    mass = sum_k mod[k-2] * k^-r, the order's own mod.  recolor shares a
+    and b, the m^-p and n^-q tables (m, n = 1..cutoff+_MAX_CLASS_ORDER-1),
+    and kf, the k^-r table (k = 2..cutoff).
     """
 
     index: MTIndex
@@ -751,68 +834,61 @@ class OracleRows:
     alpha: RootOfUnity
     re: np.ndarray
     im: np.ndarray
-    window: np.ndarray
-    b: np.ndarray
     mod: np.ndarray
     kf: np.ndarray
     bound: float
+    a: np.ndarray
+    b: np.ndarray
+    classes: np.ndarray | None
 
     def recolor(self, alpha: RootOfUnity) -> OracleRows:
-        """The rows of alpha, contracting only what exact arithmetic leaves open.
-
-        root_value gives exact axis points and exactly conjugate doubles, so:
-        at alpha = 1 the real row is the modulus row and the imaginary row
-        zeros; at alpha = -1 only the real row is contracted; at
-        alpha = conj(self.alpha) the rows are self's real row and 0.0 -
-        self's imaginary row, because every product of that row's
-        contraction is negated exactly and so is its sum.  Not -im: a
-        diagonal that cancels to +0.0 must stay +0.0, as its own contraction
-        gives it, where -im would give -0.0.  Any other alpha contracts both
-        rows.  The bits are those of the contractions.
-        """
+        """The rows of alpha.  A root of the same order recombines the
+        stored class rows and contracts nothing; any other builds its own
+        order's class rows.  Either way the bits are those of a fresh
+        oracle_rows(index, alpha)."""
         _check_root_orders("OracleRows.recolor", alpha=alpha)
         if alpha == self.alpha:
             return self
-        zeros = np.zeros(self.cutoff - 1)
-        if alpha.order == 1:
-            re, im = self.mod, zeros
-        elif alpha == self.alpha.conjugate():
-            re, im = self.re, 0.0 - self.im
-        else:
-            # alpha^j for the j = n mod order that n < cutoff reaches, built
-            # here: the oracle reads no Li-layer memo.
-            alpha_j = np.array([root_value(alpha**j) for j in range(min(alpha.order, self.cutoff))])
-            phase = alpha_j[np.arange(1, self.cutoff) % alpha.order]
-            re = _contract(self.window, phase.real * self.b)
-            im = zeros if alpha.order == 2 else _contract(self.window, phase.imag * self.b)
-        im.flags.writeable = False
-        return replace(self, alpha=alpha, re=re, im=im)
+        if alpha.order != self.alpha.order or self.classes is None:
+            return _colored_rows(self.index, self.cutoff, alpha, self.a, self.b, self.kf)
+        re, im, _ = _combine(self.classes, _phases(alpha, alpha.order))
+        return replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
+
+
+def _colored_rows(
+    index: MTIndex, cut: int, alpha: RootOfUnity, a: np.ndarray, b: np.ndarray, kf: np.ndarray
+) -> OracleRows:
+    """The OracleRows of alpha from the alpha-free tables: one pass over the window."""
+    size, order = cut - 1, alpha.order
+    if order > _MAX_CLASS_ORDER:
+        classes = None
+        phase = _phases(alpha, min(order, size))[np.arange(size) % order]  # alpha^n, n = 1..cutoff-1
+        col = b[:size]
+        cols = np.array([phase.real * col, phase.imag * col, col])
+        rows = _contract(_windows(a, 1, size), cols, _ORACLE_BLOCK)[0]
+    else:
+        classes = _read_only(_class_rows(a, b, order, size))
+        rows = _combine(classes, _phases(alpha, order))
+    re, im, mod = (_read_only(row) for row in rows)
+    mass = fsum((mod * kf).tolist())
+    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
+    return OracleRows(index, cut, alpha, re, im, mod, kf, bound, a, b, classes)
 
 
 def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
     """The oracle's diagonal sums over n, its k^-r table and its bound.
 
-    Builds the alpha-free part, with the rows of alpha = 1 (the modulus row
-    and zeros, no contraction of their own), and returns its recolor(alpha).
-    Every row is a row of the window contracted by _contract.  Scratch
-    memory is O(cutoff), time O(cutoff^2) per row.
+    Builds the alpha-free tables and the rows of alpha in one pass over the
+    window (_colored_rows).  Scratch memory is O(cutoff), about
+    (2*ord alpha + 5)*cutoff doubles up to the class cap and 17*cutoff above
+    it, and time O(cutoff^2).
     """
     _check_root_orders("oracle_rows", alpha=alpha)
     cut = cfg.oracle_cutoff
-    ns = np.arange(1, cut, dtype=np.float64)
-    a = _neg_int_pow(ns, index.p)
-    b = _neg_int_pow(ns, index.q)
-    b.flags.writeable = False
-    zr = np.concatenate((a[::-1], np.zeros(max(cut - 2, 0))))
-    window = np.lib.stride_tricks.sliding_window_view(zr, cut - 1)[::-1]
-    mod = _contract(window, b)
-    kf = _neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r)
-    kf.flags.writeable = False
-    mass = fsum((mod * kf).tolist())
-    bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
-    zeros = np.zeros(cut - 1)
-    zeros.flags.writeable = False
-    return OracleRows(index, cut, ONE, mod, zeros, window, b, mod, kf, bound).recolor(alpha)
+    ns = np.arange(1, cut + _MAX_CLASS_ORDER, dtype=np.float64)
+    a, b = (_read_only(_neg_int_pow(ns, e)) for e in (index.p, index.q))
+    kf = _read_only(_neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r))
+    return _colored_rows(index, cut, alpha, a, b, kf)
 
 
 def eval_mt_direct(
@@ -843,9 +919,9 @@ def eval_mt_direct(
 
     The bound, the rows' own, is the color-independent absolute tail plus
     eps*(cutoff+64)*mass = 2u*(cutoff+64)*mass, mass = sum_k (modulus row
-    k) * k^-r.  It covers the roundoff (u = eps/2, gamma_n = n*u/(1-n*u),
-    Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 4.2; no
-    over/underflow).  Error bounds on a complex quantity below are on its
+    k) * k^-r, the modulus row of alpha's order.  It covers the roundoff
+    (u = eps/2, gamma_n = n*u/(1-n*u), Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1 and 4.2; no over/underflow).  Error bounds on a complex quantity below are on its
     modulus; one on a pair of real sums follows from the componentwise
     bounds gamma*sum|Re| and gamma*sum|Im| by the triangle inequality in
     R^2, which bounds it by gamma times the sum of the terms' moduli.
@@ -855,13 +931,21 @@ def eval_mt_direct(
       for m >= 2); alpha^n from root_value is within 13u of the root (its
       theta = 2*pi*e/n <= pi carries 3 roundings, which move the point
       along the circle by at most 3*pi*u, and cos and sin are each within
-      an ulp, 2u); the two products of a term and the product by k^-r
-      add 3 roundings.  That is at most 79u relative to each term, so
-      79u*mass.
-    * Within a diagonal.  einsum adds the window row of diagonal k, at
-      most cutoff-1 entries of which its k-1 terms are the nonzero ones,
-      in some fixed order: at most gamma_(cutoff-2) times their absolute
-      sum, so gamma_(cutoff-2)*mass over all diagonals.
+      an ulp, 2u).  Three products follow: m^-p*n^-q, the product by the
+      phase and the product by k^-r.  Up to the class cap the phase
+      multiplies each class sum once instead of each term once; that
+      rounding errs by at most u times the class's absolute sum, so it is
+      still at most one rounding per term.  That is at most 79u relative
+      to each term, so 79u*mass.
+    * Within a diagonal.  Diagonal k has k-1 nonzero terms; the zero
+      entries of a window row add exactly.  Up to the cap, einsum sums
+      each class (a residue window row dotted with a class column) and
+      the phase-weighted class sums are added in the order of c; above
+      it, einsum sums the plain window row.  Either way a term passes
+      through at most k-2 additions (n_c - 1 in its class of n_c terms,
+      then one per other nonempty class), and any summation tree of that
+      depth errs by at most gamma_(k-2) times the terms' absolute sum, so
+      gamma_(cutoff-2)*mass over all diagonals.
     * Class sums.  Class c holds at most ceil((cutoff-1)/ord beta)
       diagonals, added from 0.0 one at a time: at most
       gamma_ceil((cutoff-1)/ord beta) times their absolute sum, so that

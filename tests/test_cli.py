@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from tornheim import (
     eval_decomposition,
     term_from_record,
 )
-from tornheim.cli import _format_value, run
+from tornheim.cli import _format_value, _orders, run
 
 
 def test_decompose_bar_notation(capsys):
@@ -183,6 +184,23 @@ def test_verify_refuses_an_oversized_color_grid(capsys):
     out, err = capsys.readouterr()
     assert out == "" and "argument --orders: color_pairs: " in err
     assert "MAX_COLOR_PAIRS = 2**16" in err and "Traceback" not in err
+
+
+def test_orders_check_builds_no_root(monkeypatch):
+    # --orders is only counted: building and sorting all 256**2 pairs took
+    # 37 ms for "256" and was thrown away.
+    built = []
+    init = RootOfUnity.__init__
+
+    def counting(self, exponent, order):
+        built.append((exponent, order))
+        init(self, exponent, order)
+
+    monkeypatch.setattr(RootOfUnity, "__init__", counting)
+    assert _orders("256") == [256] and _orders("1,2,3,4") == [1, 2, 3, 4]
+    with pytest.raises(argparse.ArgumentTypeError, match="MAX_COLOR_PAIRS"):
+        _orders("257")
+    assert built == []
 
 
 @pytest.mark.parametrize("weight, constraint", [("2", "max_weight must be >= 3"), ("10000", "MAX_GRID_CASES = 2**16")])

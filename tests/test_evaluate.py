@@ -636,7 +636,7 @@ class TestOracle:
         assert empty.error_bound == oracle_tail_bound(2, 1, 2, 1)
         assert one.value == -0.25 + 0j
 
-    @pytest.mark.parametrize("cut", [2, 3, 17, 64])
+    @pytest.mark.parametrize("cut", [2, 3, 17, 64, 300])
     @pytest.mark.parametrize(
         "pqr, alpha, beta",
         [
@@ -645,11 +645,17 @@ class TestOracle:
             ((2, 0, 3), W3, RootOfUnity(3, 8)),
             ((1, 2, 3), W3, ONE),
             ((2, 1, 2), I, RootOfUnity(3, MAX_ROOT_ORDER)),
+            ((2, 1, 2), MINUS_ONE, W3),
+            ((1, 1, 2), RootOfUnity(5, 6), RootOfUnity(1, 8)),
+            ((2, 2, 3), RootOfUnity(3, 8), MINUS_ONE),
+            ((1, 2, 3), RootOfUnity(7, evaluate._MAX_CLASS_ORDER + 1), I),
         ],
     )
     def test_window_indexing_vs_explicit_terms(self, cut, pqr, alpha, beta):
         # plain-Python sum of every (m, n) term with m+n <= cut; only the
-        # roundoff allowance separates the two, so a shifted window cannot hide
+        # roundoff allowance separates the two, so a shifted window or a
+        # term in the wrong residue class cannot hide.  At cutoff 300 a
+        # residue window of order 2 spans three class blocks.
         p, q, r = pqr
         ua = cmath.exp(2j * math.pi * alpha.exponent / alpha.order)
         ub = cmath.exp(2j * math.pi * beta.exponent / beta.order)
@@ -809,25 +815,81 @@ ROOTS_1_TO_12 = sorted({RootOfUnity(k, n) for n in range(1, 13) for k in range(n
 # The same colors with each conjugate before its root.
 ROOTS_1_TO_12_CONJUGATE_FIRST = sorted(ROOTS_1_TO_12, key=lambda a: (a.order, -a.exponent))
 ROW_CLASS_INDICES = [(1, 1, 2), (2, 2, 3), (0, 2, 2), (2, 0, 3), (3, 1, 2), (0, 1, 2)]
+# A root of the lowest order above the class cap, and its conjugate.
+ABOVE_THE_CAP = [RootOfUnity(7, evaluate._MAX_CLASS_ORDER + 1), RootOfUnity(10, evaluate._MAX_CLASS_ORDER + 1)]
 
 
-def _three_contractions(index, alpha, cut):
-    """The oracle rows as one loop makes them: the real, imaginary and
-    modulus rows each contracted, whatever alpha is."""
+def _dot_rows(window, col, block):
+    """Row i of a dense window dotted with col, blocks of block rows each
+    reaching the column of their last row: the oracle's einsum loop."""
+    row = np.empty(len(col))
+    for i0 in range(0, len(col), block):
+        i1 = min(i0 + block, len(col))
+        row[i0:i1] = np.einsum("ij,j->i", window[i0:i1, :i1], col[:i1])
+    return row
+
+
+def _dense_window(seq):
+    """window[s, i] = seq[s - i] for i <= s, else 0."""
+    window = np.zeros((len(seq), len(seq)))
+    for s in range(len(seq)):
+        window[s, : s + 1] = seq[s::-1]
+    return window
+
+
+def _reference_classes(index, order, cut):
+    """C_c(k), row c-1 for c = 1..order, column k-2, one residue window at
+    a time: entry C_c(k) is row s of the window of residue rho,
+    (rho + t*order)^-p, dotted with the column (c + i*order)^-q of class c,
+    where k = rho + c + s*order."""
     size = cut - 1
-    rows = np.empty((3, size))
-    if size:
+    length = -(-size // order)
+    ns = np.arange(1, order * length + 1, dtype=np.float64)
+    a, b = evaluate._neg_int_pow(ns, index.p), evaluate._neg_int_pow(ns, index.q)
+    block = evaluate._ORACLE_BLOCK if order == 1 else evaluate._CLASS_BLOCK
+    classes = [[0.0] * size for _ in range(order)]
+    for rho in range(1, order + 1):
+        window = _dense_window(a[rho - 1 :: order])
+        for c in range(1, order + 1):
+            row = _dot_rows(window, np.ascontiguousarray(b[c - 1 :: order]), block).tolist()
+            for s, x in enumerate(row):
+                if rho + c + s * order <= cut:
+                    classes[c - 1][rho + c + s * order - 2] = x
+    return classes
+
+
+def _reference_rows(index, alpha, cut, classes):
+    """The real, imaginary and modulus rows as one 3 x (cutoff-1) array's
+    bytes.  Up to the cap, per k in plain Python: w_1*C_1(k), then
+    + w_c*C_c(k) for c = 2, 3, ... with w_c = Re(alpha^c), Im(alpha^c) and
+    1.0.  Above it, the dense window (m^-p) dotted with alpha^n * n^-q,
+    its real and imaginary parts, and with n^-q."""
+    size = cut - 1
+    if alpha.order > evaluate._MAX_CLASS_ORDER:
         ns = np.arange(1, cut, dtype=np.float64)
         a, b = evaluate._neg_int_pow(ns, index.p), evaluate._neg_int_pow(ns, index.q)
-        alpha_j = np.array([(alpha**j).value() for j in range(alpha.order)])
-        phase = alpha_j[np.arange(1, cut) % alpha.order]
-        zr = np.concatenate((a[::-1], np.zeros(size - 1)))
-        v = np.lib.stride_tricks.sliding_window_view(zr, size)[::-1]
-        for i0 in range(0, size, evaluate._ORACLE_BLOCK):
-            i1 = min(i0 + evaluate._ORACLE_BLOCK, size)
-            for row, col in zip(rows, (phase.real * b, phase.imag * b, b)):
-                row[i0:i1] = np.einsum("ij,j->i", v[i0:i1, :i1], col[:i1])
-    return rows
+        phase = np.array([(alpha**n).value() for n in range(1, cut)])
+        window = _dense_window(a)
+        cols = (phase.real * b, phase.imag * b, b)
+        return np.array([_dot_rows(window, col, evaluate._ORACLE_BLOCK) for col in cols]).tobytes()
+    phases = [(alpha**c).value() for c in range(1, alpha.order + 1)]
+    rows = []
+    for w in ([z.real for z in phases], [z.imag for z in phases], [1.0] * alpha.order):
+        row = []
+        for k in range(size):
+            acc = w[0] * classes[0][k]
+            for c in range(1, alpha.order):
+                acc += w[c] * classes[c][k]
+            row.append(acc)
+        rows.append(row)
+    return np.array(rows).reshape(3, size).tobytes()
+
+
+def _reference(index, colors, cut):
+    """alpha -> _reference_rows bytes for every alpha of colors."""
+    orders = {a.order for a in colors if a.order <= evaluate._MAX_CLASS_ORDER}
+    classes = {n: _reference_classes(index, n, cut) for n in orders}
+    return {alpha: _reference_rows(index, alpha, cut, classes.get(alpha.order)) for alpha in colors}
 
 
 def _row_bytes(rows):
@@ -872,86 +934,106 @@ class TestBetaClassSums:
 
 
 class TestOracleRowClasses:
-    # Rows that exact arithmetic fixes (alpha = 1, alpha = -1, a conjugate
-    # right after its root) are not contracted; they must still be bit for
-    # bit, signed zeros included, the rows that three contractions give.
+    # The rows of a root of order N up to the cap are real combinations of
+    # its N class rows, above it phase-weighted contractions.  Fresh or
+    # recolored, in either color order, they must be bit for bit, signed
+    # zeros included, what the plain reference of that arithmetic gives.
     @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
     @pytest.mark.parametrize("pqr", ROW_CLASS_INDICES)
-    def test_rows_equal_three_contractions_byte_for_byte(self, pqr, cut):
+    def test_rows_equal_the_class_reference_byte_for_byte(self, pqr, cut):
         idx, cfg = MTIndex(*pqr), EvalConfig(oracle_cutoff=cut)
-        want = {alpha: _three_contractions(idx, alpha, cut) for alpha in ROOTS_1_TO_12}
-        for alpha in ROOTS_1_TO_12:
-            assert _row_bytes(oracle_rows(idx, alpha, cfg)) == want[alpha].tobytes(), alpha
-        for colors in (ROOTS_1_TO_12, ROOTS_1_TO_12_CONJUGATE_FIRST):
+        want = _reference(idx, ROOTS_1_TO_12 + ABOVE_THE_CAP, cut)
+        for alpha in ROOTS_1_TO_12 + ABOVE_THE_CAP:
+            assert _row_bytes(oracle_rows(idx, alpha, cfg)) == want[alpha], alpha
+        for colors in (ROOTS_1_TO_12 + ABOVE_THE_CAP, ROOTS_1_TO_12_CONJUGATE_FIRST + ABOVE_THE_CAP[::-1]):
             rows = oracle_rows(idx, colors[0], cfg)
             for alpha in colors:
                 rows = rows.recolor(alpha)
-                assert _row_bytes(rows) == want[alpha].tobytes(), alpha
+                assert _row_bytes(rows) == want[alpha], alpha
 
     @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
     @pytest.mark.parametrize("pqr", ROW_CLASS_INDICES)
-    def test_recoloring_back_to_a_real_alpha_equals_three_contractions(self, pqr, cut):
-        # alpha = 1 takes the modulus row and zeros, alpha = -1 contracts
-        # its real row, whatever root the rows were recolored from.
+    def test_recoloring_back_to_a_real_alpha_equals_the_class_reference(self, pqr, cut):
+        # alpha = 1 is one class, alpha = -1 two, whatever root the rows
+        # were recolored from.
         idx, cfg = MTIndex(*pqr), EvalConfig(oracle_cutoff=cut)
-        want = {alpha: _three_contractions(idx, alpha, cut).tobytes() for alpha in (ONE, MINUS_ONE)}
-        for alpha in ROOTS_1_TO_12:
+        want = _reference(idx, [ONE, MINUS_ONE], cut)
+        for alpha in ROOTS_1_TO_12 + ABOVE_THE_CAP:
             rows = oracle_rows(idx, alpha, cfg)
             for back in (ONE, MINUS_ONE):
                 assert _row_bytes(rows.recolor(back)) == want[back], (alpha, back)
 
+    @pytest.mark.parametrize("cut", [2, 17, 1000])
+    def test_class_rows_equal_the_reference_byte_for_byte(self, cut):
+        idx, cfg = MTIndex(2, 1, 2), EvalConfig(oracle_cutoff=cut)
+        for n in (1, 2, 5, 12, evaluate._MAX_CLASS_ORDER):
+            rows = oracle_rows(idx, RootOfUnity(1, n), cfg)
+            assert rows.classes.tobytes() == np.array(_reference_classes(idx, n, cut)).reshape(n, cut - 1).tobytes()
+            assert not rows.classes.flags.writeable
+        assert oracle_rows(idx, ABOVE_THE_CAP[0], cfg).classes is None
+
     def test_alpha_one_rows_are_the_modulus_row_and_zeros(self):
         rows = oracle_rows(MTIndex(2, 1, 2), ONE, EvalConfig(oracle_cutoff=40))
-        assert rows.alpha == ONE and rows.re is rows.mod
+        assert rows.alpha == ONE and rows.re.tobytes() == rows.mod.tobytes()
         assert rows.im.tobytes() == np.zeros(39).tobytes() and not rows.im.flags.writeable
 
-    def test_a_conjugate_row_keeps_the_zeros_of_exact_cancellation(self):
-        # For p = q the imaginary row cancels to +0.0 on some diagonals;
-        # plain negation would make those -0.0, 0.0 - im keeps them.
-        idx, cut = MTIndex(2, 2, 3), 17
-        im, conj_im = (_three_contractions(idx, a, cut)[1] for a in (W3, W3.conjugate()))
-        assert (-im).tobytes() != conj_im.tobytes()
-        assert (0.0 - im).tobytes() == conj_im.tobytes()
-
-    def test_recolor_shares_the_alpha_free_part(self):
-        rows = oracle_rows(MTIndex(2, 1, 2), I, EvalConfig(oracle_cutoff=40))
-        other = rows.recolor(W3)
-        assert (other.index, other.alpha, other.cutoff) == (MTIndex(2, 1, 2), W3, 40)
-        for field in ("window", "b", "mod", "kf"):
-            assert getattr(other, field) is getattr(rows, field), field
-        assert other.bound == rows.bound
+    def test_recolor_shares_the_alpha_free_tables(self):
+        idx, cut = MTIndex(2, 1, 2), 40
+        rows = oracle_rows(idx, I, EvalConfig(oracle_cutoff=cut))
+        same, other = rows.recolor(I.conjugate()), rows.recolor(W3)
+        for recolored in (same, other):
+            assert (recolored.index, recolored.cutoff) == (idx, cut)
+            for field in ("a", "b", "kf"):
+                assert getattr(recolored, field) is getattr(rows, field), field
+            for row in (recolored.re, recolored.im):
+                with pytest.raises(ValueError):
+                    row[0] = 1.0
+        # A root of the same order shares the class rows, the modulus row
+        # and the bound; another order has its own.
+        assert same.classes is rows.classes and same.mod is rows.mod and same.bound == rows.bound
+        assert other.classes.shape == (3, cut - 1)
+        for r in (rows, other):
+            mass = math.fsum((r.mod * r.kf).tolist())
+            assert r.bound == oracle_tail_bound(2, 1, 2, cut) + 2.220446049250313e-16 * (cut + 64.0) * mass
         assert rows.recolor(I) is rows
-        for row in (other.re, other.im):
-            with pytest.raises(ValueError):
-                row[0] = 1.0
         with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
             rows.recolor(RootOfUnity(1, MAX_ROOT_ORDER + 1))
 
     @pytest.fixture
-    def contracted(self, monkeypatch):
+    def passes(self, monkeypatch):
         count = [0]
         contract = evaluate._contract
 
-        def counting(window, col):
+        def counting(windows, cols, block):
             count[0] += 1
-            return contract(window, col)
+            return contract(windows, cols, block)
 
         monkeypatch.setattr(evaluate, "_contract", counting)
         return count
 
-    def test_grid_contracts_six_rows_per_index(self, contracted):
-        # per index: the modulus row, none for 1, the real row for -1, and
-        # two each for e^{2 pi i/3} and i, none for their conjugates
+    def test_grid_makes_one_pass_per_order_and_index(self, passes):
+        # per index one pass each for the orders 1, 2, 3 and 4; the other
+        # roots of an order recombine its class rows
         cross_check_grid(4, [1, 2, 3, 4], EvalConfig(tolerance=1e-8, oracle_cutoff=1000))
-        assert contracted[0] == 66 == 6 * len(enumerate_indices(4))
+        assert passes[0] == 44 == 4 * len(enumerate_indices(4))
 
-    def test_r212_contracts_the_modulus_and_real_rows(self, contracted):
+    def test_r212_makes_one_pass(self, passes):
         verify_r212()
-        assert contracted[0] == 2
+        assert passes[0] == 1
 
-    def test_alpha_one_contracts_the_modulus_row_only(self, contracted):
+    def test_a_root_of_the_same_order_makes_no_pass(self, passes):
+        cfg = EvalConfig(oracle_cutoff=100)
+        rows = oracle_rows(MTIndex(2, 1, 2), RootOfUnity(1, 12), cfg)
+        assert passes[0] == 1
+        for k in (5, 7, 11):
+            rows = rows.recolor(RootOfUnity(k, 12))
+        assert passes[0] == 1
+        rows.recolor(ABOVE_THE_CAP[0]).recolor(ABOVE_THE_CAP[1])
+        assert passes[0] == 3
+
+    def test_alpha_one_makes_one_pass(self, passes):
         eval_mt_direct(MTIndex(2, 1, 2), ONE, I, EvalConfig(oracle_cutoff=100))
-        assert contracted[0] == 1
+        assert passes[0] == 1
 
 
 class TestEvalDecomposition:
