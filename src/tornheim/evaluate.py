@@ -113,16 +113,23 @@ BLAS, in an unspecified order that is fixed for a given cutoff and numpy
 build, the classes of a diagonal in the order of c, and the diagonals of
 each residue class mod ord beta one after the other in k order
 (np.bincount), so its results are deterministic and do not change with
-the BLAS thread count.  Any summation of n terms errs by at most
-gamma_(n-1) times their absolute sum (Higham, Accuracy and Stability of
-Numerical Algorithms, 4.2); eval_mt_direct derives from that that the
-roundoff allowance eps*(cutoff+64)*mass covers these orders.
+the BLAS thread count or the number of CPUs.  A contraction of at least
+_PARALLEL_FLOOR = 2**21 multiply-adds (cutoff 20000, not the grid's 1000)
+deals its blocks of diagonals to one worker thread per CPU the process
+may use (_contract), but each block is still one einsum call on the same
+operands, so the split moves no bit.  Any summation of n terms errs by
+at most gamma_(n-1) times their absolute sum (Higham, Accuracy and
+Stability of Numerical Algorithms, 4.2); eval_mt_direct derives from
+that that the roundoff allowance eps*(cutoff+64)*mass covers these
+orders.
 """
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -166,6 +173,15 @@ _ORACLE_BLOCK = 256
 # 256, 64 was fastest or within 3% of it for orders 2-16 at cutoffs 1000
 # and 20000 on a 2-vCPU x86-64 VM.
 _CLASS_BLOCK = 64
+
+# Multiply-adds below which _contract runs on the calling thread alone.  A
+# class pass is about cutoff^2/2 of them whatever the order, an above-cap
+# pass 3*cutoff^2/2.  On a 2-vCPU x86-64 VM, two threads took oracle_rows
+# 1.6-1.9x as long as one at cutoff 1000, 1.05-1.09x at 2000 (just under
+# 2**21), 0.92-1.01x at 2500, 0.8-0.9x at 3000 and 0.6-0.7x at 20000.
+# 2**21 keeps the grid's cutoff 1000 and the verify grid's 2000 serial and
+# splits the cutoff-20000 oracle.
+_PARALLEL_FLOOR = 2**21
 
 # Highest alpha order whose oracle rows come from residue classes: its
 # class rows take order*(cutoff-1) doubles.
@@ -718,23 +734,51 @@ def oracle_tail_bound(p: int, q: int, r: int, cutoff: int) -> float:
     for e = 0, 1, >=2; summing A(k)/k^r over k > cutoff by integral
     comparison yields the closed forms below.  Valid (denominators
     positive) for every convergent index triple; color-independent.
+
+    2^b times a power of the cutoff K is formed as math.ldexp, so p and q
+    may pass 1023.  A bound beyond the double range, which only K = 1 gives
+    (2^max(p,q) from p or q >= 1024), is a ValueError.  From K = 2 on,
+    2^b K^(1-w) <= 2^(1-r) (w = b + r), but the power of K can underflow
+    before ldexp scales it, and the piece then comes out 0.0 or low.  That
+    leaves the oracle's total honest.  It needs K^(w-1) > 2^1022, and then
+    the sum the piece bounds, sum_{k>K} (2/k)^b psi_e(k/2) k^-r, is at most
+    (2/(K+1))^(w-1) (1 + (K+1)/(w-2)) < 2^-580 times 2^-r, the k = 2 term
+    of the mass.  That is far below the slack of at least 35u*mass that the
+    roundoff allowance eps*(cutoff+64)*mass keeps (eval_mt_direct), as long
+    as 2^-r is a normal double, the allowance's own no-underflow premise.
     """
     kk = float(cutoff)
 
     def piece(e: int, b: int) -> float:
         w = b + r
         if e == 0:
-            return 2.0 ** (b - 1) * kk ** (2.0 - w) / (w - 2.0)
+            return math.ldexp(kk ** (2.0 - w), b - 1) / (w - 2.0)
         if e == 1:
-            return 2.0**b * kk ** (1.0 - w) * ((1.0 + math.log(kk / 2.0)) / (w - 1.0) + (w - 1.0) ** -2.0)
-        return 1.6449340668482266 * 2.0**b * kk ** (1.0 - w) / (w - 1.0)
+            return math.ldexp(kk ** (1.0 - w), b) * ((1.0 + math.log(kk / 2.0)) / (w - 1.0) + (w - 1.0) ** -2.0)
+        return 1.6449340668482266 * math.ldexp(kk ** (1.0 - w), b) / (w - 1.0)
 
-    return piece(p, q) + piece(q, p)
+    try:
+        bound = piece(p, q) + piece(q, p)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"oracle tail bound of MT({p},{q},{r}) at cutoff {cutoff} is beyond the double range:"
+            " at cutoff 1 it grows as 2**max(p, q); use a cutoff >= 2"
+        )
+    return bound
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _cpu_count() -> int:
+    """The number of CPUs the OS lets this process run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
@@ -744,12 +788,33 @@ def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
     every entry is one dot product over j, in an unspecified order that is
     fixed for a given length and numpy build.  Every row the oracle sums
     passes through here.
+
+    From _PARALLEL_FLOOR multiply-adds on, the blocks are dealt round-robin
+    to W = min(_cpu_count(), number of blocks) workers, block i to worker
+    i mod W, so each worker gets about the same share of the triangle: the
+    calling thread runs share 0 and a thread pool made for this call the
+    others.  Each block is still one einsum call on the same operands
+    writing its own slice of out, so out has the same bits at every W.
     """
     size = cols.shape[1]
     out = np.empty((len(windows), len(cols), size))
-    for i0 in range(0, size, block):
-        i1 = min(i0 + block, size)
-        out[:, :, i0:i1] = np.einsum("rij,cj->rci", windows[:, i0:i1, :i1], cols[:, :i1])
+    starts = range(0, size, block)
+
+    def share(worker: int, workers: int) -> None:
+        for i0 in starts[worker::workers]:
+            i1 = min(i0 + block, size)
+            out[:, :, i0:i1] = np.einsum("rij,cj->rci", windows[:, i0:i1, :i1], cols[:, :i1])
+
+    serial = len(windows) * len(cols) * size * size // 2 < _PARALLEL_FLOOR
+    workers = 1 if serial else min(_cpu_count(), len(starts))
+    if workers == 1:
+        share(0, 1)
+        return out
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(share, w, workers) for w in range(1, workers)]
+        share(0, workers)
+        for future in futures:
+            future.result()
     return out
 
 
@@ -881,7 +946,10 @@ def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CO
     Builds the alpha-free tables and the rows of alpha in one pass over the
     window (_colored_rows).  Scratch memory is O(cutoff), about
     (2*ord alpha + 5)*cutoff doubles up to the class cap and 17*cutoff above
-    it, and time O(cutoff^2).
+    it, and time O(cutoff^2).  A pass of _PARALLEL_FLOOR = 2**21
+    multiply-adds or more (from cutoff about 2050, or 1180 above the cap)
+    runs on min(CPUs the process may use, blocks) threads for the length of
+    the call (_contract); the rows have the same bits at every count.
     """
     _check_root_orders("oracle_rows", alpha=alpha)
     cut = cfg.oracle_cutoff

@@ -13,6 +13,7 @@ from tornheim import (
     RootOfUnity,
     decompose,
     eval_decomposition,
+    eval_mt_direct,
     term_from_record,
 )
 from tornheim.cli import _format_value, _orders, run
@@ -175,6 +176,31 @@ def test_overflowing_rung_exits_2_without_traceback(command, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "overflows the double range" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("pq", [("2000", "1"), ("1", "1100")])
+def test_oracle_bound_beyond_the_double_range_exits_2_without_traceback(pq):
+    # At cutoff 1 the oracle's tail bound grows as 2**max(p, q); it used
+    # to end in an OverflowError traceback from 2.0**p.
+    p, q = pq
+    argv = [sys.executable, "-m", "tornheim", "oracle", "--p", p, "--q", q, "--r", "2"]
+    proc = subprocess.run([*argv, "--cutoff", "1"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "beyond the double range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # From cutoff 2 on the bound is finite, however large p or q.
+    proc = subprocess.run([*argv, "--cutoff", "10"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_eval_with_p_beyond_1023_agrees_with_the_oracle(capsys):
+    # the command line's default colors, alpha = -1 and beta = 1
+    idx, alpha, beta = MTIndex(2000, 1, 2), RootOfUnity(1, 2), RootOfUnity(0, 1)
+    assert run(["eval", "--p", "2000", "--q", "1", "--r", "2"]) == 0
+    dec = eval_decomposition(decompose(idx, alpha, beta))
+    assert capsys.readouterr().out.strip() == _format_value(dec)
+    oracle = eval_mt_direct(idx, alpha, beta, EvalConfig(oracle_cutoff=2000))
+    assert abs(dec.value - oracle.value) <= dec.error_bound + oracle.error_bound
 
 
 def test_verify_refuses_an_oversized_color_grid(capsys):

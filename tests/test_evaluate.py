@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -694,22 +695,36 @@ class TestOracle:
         assert abs(v.value - ref) <= 2.220446049250313e-16 * (cut + 64) * math.fsum(mass)
 
     def test_thread_count_independent(self):
-        # the row sums must not go through a threaded BLAS: a 1-thread and
-        # a 2-thread process give the same bits
+        # the row sums must not go through a threaded BLAS, and their bits
+        # must not follow the number of CPUs the contraction is split
+        # over: a 1-thread and a 2-thread BLAS process, and a process
+        # pinned to one CPU, give the same bits
         code = (
-            "from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct\n"
+            "import os, sys\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct, evaluate\n"
             "v = eval_mt_direct(MTIndex(1, 2, 3), RootOfUnity(1, 4), RootOfUnity(1, 3),"
             " EvalConfig(oracle_cutoff=12000))\n"
             "print(repr(v.value), repr(v.error_bound))\n"
+            "print(evaluate._cpu_count(), file=sys.stderr)\n"
         )
-        outs = []
-        for threads in ("1", "2"):
+        runs = [("1", "all"), ("2", "all")]
+        if hasattr(os, "sched_setaffinity"):
+            runs.append(("2", "pinned"))
+        outs, cpus = [], []
+        for threads, cpu_set in runs:
             env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+                [sys.executable, "-c", code, cpu_set], env=env, capture_output=True, text=True, check=True
             )
             outs.append(proc.stdout)
-        assert outs[0] == outs[1]
+            cpus.append(int(proc.stderr))
+        assert outs == [outs[0]] * len(runs)
+        if len(runs) == 3:
+            assert cpus[2] == 1
+        else:
+            pytest.skip("os.sched_setaffinity is missing: the pinned process did not run")
 
     def test_real_output_for_real_colors(self):
         cfg = EvalConfig(oracle_cutoff=1000)
@@ -1034,6 +1049,93 @@ class TestOracleRowClasses:
     def test_alpha_one_makes_one_pass(self, passes):
         eval_mt_direct(MTIndex(2, 1, 2), ONE, I, EvalConfig(oracle_cutoff=100))
         assert passes[0] == 1
+
+    # Above _PARALLEL_FLOOR multiply-adds the contraction's blocks are
+    # dealt to min(CPUs, blocks) workers, and the rows must keep their bits
+    # at every worker count.  The CPU count comes from _cpu_count alone.
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        """The worker counts of the thread pools _contract builds."""
+        built = []
+
+        class Recording(evaluate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Recording)
+        return built
+
+    # At cutoff 2200 a class pass is 2.4e6 multiply-adds, above the floor.
+    # Its blocks: 2199 rows of 256 at order 1 and above the cap, 1100 of
+    # 64 at order 2, 184 of 64 at order 12, so there W stops at 3.
+    @pytest.mark.parametrize(
+        "alpha, blocks", [(ONE, 9), (MINUS_ONE, 18), (RootOfUnity(5, 12), 3), (ABOVE_THE_CAP[0], 9)]
+    )
+    def test_rows_do_not_depend_on_the_workers(self, alpha, blocks, monkeypatch, executors):
+        cut = 2200
+        assert (cut - 1) ** 2 // 2 >= evaluate._PARALLEL_FLOOR
+        contract = evaluate._contract
+        outs = {}
+
+        def recording(windows, cols, block):
+            out = contract(windows, cols, block)
+            outs[workers].append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(evaluate, "_contract", recording)
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(evaluate, "_cpu_count", lambda: workers)
+            outs[workers] = []
+            rows = oracle_rows(MTIndex(2, 1, 2), alpha, EvalConfig(oracle_cutoff=cut))
+            outs[workers].append(_row_bytes(rows))
+        assert executors == [min(workers, blocks) - 1 for workers in (2, 3, 4)]
+        assert len(outs[1]) == 2 and outs[2] == outs[3] == outs[4] == outs[1]
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        idx, cfg = MTIndex(1, 2, 3), EvalConfig(oracle_cutoff=3000)
+        alpha = RootOfUnity(1, 3)
+        want = _row_bytes(oracle_rows(idx, alpha, cfg))
+        threads = threading.active_count()
+        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 4 * (os.cpu_count() or 1) + 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = 0
+            t0 = time.perf_counter()
+            while runs < 20 and time.perf_counter() - t0 < 5.0:
+                assert _row_bytes(oracle_rows(idx, alpha, cfg)) == want
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs >= 1 and threading.active_count() == threads
+
+    def test_below_the_floor_no_workers_start(self, monkeypatch):
+        # the grid's cutoff 1000 stays on the calling thread at every order
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built below the floor")
+
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 4)
+        cfg = EvalConfig(oracle_cutoff=1000)
+        for alpha in [RootOfUnity(1, n) for n in (1, 2, 3, 4, 12)] + ABOVE_THE_CAP[:1]:
+            oracle_rows(MTIndex(2, 1, 2), alpha, cfg)
+
+    def test_a_failing_worker_share_reaches_the_caller(self, monkeypatch, executors):
+        einsum = np.einsum
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker share failed")
+            return einsum(*args)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(np, "einsum", failing)
+        with pytest.raises(RuntimeError, match="worker share failed"):
+            oracle_rows(MTIndex(2, 1, 2), RootOfUnity(1, 4), EvalConfig(oracle_cutoff=3000))
+        assert executors == [1]
+        assert threading.active_count() == threads
 
 
 class TestEvalDecomposition:
