@@ -115,9 +115,10 @@ each residue class mod ord beta one after the other in k order
 (np.bincount), so its results are deterministic and do not change with
 the BLAS thread count or the number of CPUs.  A contraction of at least
 _PARALLEL_FLOOR = 2**21 multiply-adds (cutoff 20000, not the grid's 1000)
-deals its blocks of diagonals to one worker thread per CPU the process
-may use (_contract), but each block is still one einsum call on the same
-operands, so the split moves no bit.  Any summation of n terms errs by
+shares its blocks of diagonals among one worker thread per CPU the
+process may use, each taking the next block from a queue (_contract),
+but each block is still one einsum call on the same operands, so the
+split moves no bit.  Any summation of n terms errs by
 at most gamma_(n-1) times their absolute sum (Higham, Accuracy and
 Stability of Numerical Algorithms, 4.2); eval_mt_direct derives from
 that that the roundoff allowance eps*(cutoff+64)*mass covers these
@@ -127,6 +128,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import namedtuple
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -789,30 +791,39 @@ def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
     fixed for a given length and numpy build.  Every row the oracle sums
     passes through here.
 
-    From _PARALLEL_FLOOR multiply-adds on, the blocks are dealt round-robin
-    to W = min(_cpu_count(), number of blocks) workers, block i to worker
-    i mod W, so each worker gets about the same share of the triangle: the
-    calling thread runs share 0 and a thread pool made for this call the
-    others.  Each block is still one einsum call on the same operands
-    writing its own slice of out, so out has the same bits at every W.
+    The blocks are taken one at a time from a queue, longest first.  Below
+    _PARALLEL_FLOOR multiply-adds the calling thread takes them all; from
+    it on, W = min(_cpu_count(), number of blocks) workers share the
+    queue: the calling thread and W - 1 threads of a pool made for this
+    call.  A worker that gets less CPU takes fewer blocks instead of
+    holding up the call with a fixed share, and the last blocks are the
+    shortest.  Each block is still one einsum call on the same operands
+    writing its own slice of out, so out has the same bits at every W,
+    whichever thread runs each block.
     """
     size = cols.shape[1]
     out = np.empty((len(windows), len(cols), size))
     starts = range(0, size, block)
+    pending = iter(starts[::-1])
+    lock = threading.Lock()
 
-    def share(worker: int, workers: int) -> None:
-        for i0 in starts[worker::workers]:
+    def share() -> None:
+        while True:
+            with lock:
+                i0 = next(pending, None)
+            if i0 is None:
+                return
             i1 = min(i0 + block, size)
             out[:, :, i0:i1] = np.einsum("rij,cj->rci", windows[:, i0:i1, :i1], cols[:, :i1])
 
     serial = len(windows) * len(cols) * size * size // 2 < _PARALLEL_FLOOR
     workers = 1 if serial else min(_cpu_count(), len(starts))
     if workers == 1:
-        share(0, 1)
+        share()
         return out
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(share, w, workers) for w in range(1, workers)]
-        share(0, workers)
+        futures = [pool.submit(share) for _ in range(1, workers)]
+        share()
         for future in futures:
             future.result()
     return out

@@ -1051,8 +1051,9 @@ class TestOracleRowClasses:
         assert passes[0] == 1
 
     # Above _PARALLEL_FLOOR multiply-adds the contraction's blocks are
-    # dealt to min(CPUs, blocks) workers, and the rows must keep their bits
-    # at every worker count.  The CPU count comes from _cpu_count alone.
+    # taken by min(CPUs, blocks) workers from a shared queue, and the rows
+    # must keep their bits at every worker count.  The CPU count comes from
+    # _cpu_count alone.
     @pytest.fixture
     def executors(self, monkeypatch):
         """The worker counts of the thread pools _contract builds."""
@@ -1121,12 +1122,43 @@ class TestOracleRowClasses:
         for alpha in [RootOfUnity(1, n) for n in (1, 2, 3, 4, 12)] + ABOVE_THE_CAP[:1]:
             oracle_rows(MTIndex(2, 1, 2), alpha, cfg)
 
+    def test_a_stalled_worker_holds_up_the_call_by_one_block(self, monkeypatch, executors):
+        # The worker's first block waits until the calling thread has run
+        # every other block: blocks are taken from a shared queue, not dealt.
+        einsum = np.einsum
+        ran = {"main": 0, "worker": 0}
+        started = threading.Event()
+        blocks = 12  # order 4 at cutoff 3000: windows 750 long, blocks of 64
+        deadline = time.perf_counter() + 10.0
+
+        def stalling(*args):
+            if threading.current_thread() is threading.main_thread():
+                started.wait(10.0)
+                ran["main"] += 1
+            else:
+                started.set()
+                ran["worker"] += 1
+                while ran["main"] < blocks - 1 and time.perf_counter() < deadline:
+                    time.sleep(1e-3)
+            return einsum(*args)
+
+        idx, alpha, cfg = MTIndex(2, 1, 2), RootOfUnity(1, 4), EvalConfig(oracle_cutoff=3000)
+        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 1)
+        want = _row_bytes(oracle_rows(idx, alpha, cfg))
+        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(np, "einsum", stalling)
+        assert _row_bytes(oracle_rows(idx, alpha, cfg)) == want
+        assert executors == [1] and ran == {"main": blocks - 1, "worker": 1}
+
     def test_a_failing_worker_share_reaches_the_caller(self, monkeypatch, executors):
         einsum = np.einsum
+        failed = threading.Event()
 
         def failing(*args):
             if threading.current_thread() is not threading.main_thread():
+                failed.set()
                 raise RuntimeError("worker share failed")
+            failed.wait(10.0)  # let the worker take a block first
             return einsum(*args)
 
         threads = threading.active_count()
