@@ -106,13 +106,18 @@ rounds their sum once, so roundoff stays below 3u*mass.  a*b adds
 sqrt(5)*u*|ab| worst case of a complex product (Brent, Percival,
 Zimmermann, Math. Comp. 76 (2007)).
 
-Compensated summation: math.fsum (exactly rounded) combines all scalar
-series and the oracle's beta-weighted class sums.  The oracle sums the
-terms of a diagonal's alpha class with numpy's own einsum loop, never
-BLAS, in an unspecified order that is fixed for a given cutoff and numpy
-build, the classes of a diagonal in the order of c, and the diagonals of
-each residue class mod ord beta one after the other in k order
-(np.bincount), so its results are deterministic and do not change with
+Summation: math.fsum (exactly rounded) combines the scalar series
+(hurwitz_tail's head, tail_sum's residue row, ValueWithError.combine) and
+the oracle's beta-weighted class sums.  The Li layer's head and tail rows
+are added by one aligned pairwise tree per batch (_weighted_sums):
+elementwise adds of columns 2i and 2i+1, an order fixed by the column
+alone.  It errs by at most gamma_ceil(log2 n) times a row's mass, which
+stays inside _li_batch's allowances (_li_head, _li_tail).  The oracle
+sums the terms of a diagonal's alpha class with numpy's own einsum loop,
+never BLAS, in an unspecified order that is fixed for a given cutoff and
+numpy build, the classes of a diagonal in the order of c, and the
+diagonals of each residue class mod ord beta one after the other in k
+order (np.bincount), so its results are deterministic and do not change with
 the BLAS thread count or the number of CPUs.  A contraction of at least
 _PARALLEL_FLOOR = 2**21 multiply-adds (cutoff 20000, not the grid's 1000)
 shares its blocks of diagonals among one worker thread per CPU the
@@ -384,34 +389,54 @@ def _root_powers(root: RootOfUnity, n: int) -> np.ndarray:
     return table
 
 
-def _weighted_sums(
-    a: np.ndarray, b: np.ndarray, w: np.ndarray, sizes: Iterable[int]
-) -> list[tuple[complex, float]]:
-    """Row by row, sum_k w_k*a_k*b_k, fsum-combined, and its mass sum_k |w_k*a_k*b_k|.
+def _weighted_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[tuple[complex, float]]:
+    """Row by row, sum_k w_k*a_k*b_k by an aligned pairwise tree, and its mass sum_k |w_k*a_k*b_k|.
 
     The Li layer's one complex product: a and b are complex rows given as
     (real, imaginary) stacks of doubles, broadcast against the rows of the
     real array w, and each term is ((ar*br - ai*bi)*w, (ar*bi + ai*br)*w).
-    Row i sums its first sizes[i] terms; the terms past them must be exact
-    zeros, as padding is.  The mass accumulates along each row in order.
-    Real ufuncs, np.hypot and np.add.accumulate round the same at every
-    SIMD level numpy dispatches to and whatever the shape, so a row has the
-    bits it has alone; numpy's complex * and abs do not (with numpy 2.4.6
-    on AVX-512, 44% of 200k random products differ between
-    NPY_ENABLE_CPU_FEATURES=X86_V2 and the default level).
+    A row of n terms may be followed by exact zeros, as padding is.  The
+    mass accumulates along each row in order.  The sums pad the 2 x K x L
+    array of terms (w is K x L) with +0.0 to the width P = 2^ceil(log2 L)
+    and halve it ceil(log2 L) times, each step adding the columns 2i and
+    2i+1 into column i.  Every step is an elementwise add of two
+    doubles, so no numpy reduction order is relied on, and a row's blocks
+    of 2^k aligned columns do not depend on K or P: past its first
+    2^ceil(log2 n) columns the tree adds only exact zeros.  Real ufuncs,
+    np.hypot and np.add.accumulate round the same at every SIMD level
+    numpy dispatches to and whatever the shape, so a row has the bits it
+    has alone, up to the sign of a zero part; numpy's complex * and abs do
+    not (with numpy 2.4.6 on AVX-512, 44% of 200k random products differ
+    between NPY_ENABLE_CPU_FEATURES=X86_V2 and the default level).
+    Negating a part's terms negates every add, so conjugate inputs give
+    exactly conjugate sums.
+
+    The summation error, which _li_head, _li_tail and _li_batch cite
+    (u = eps/2, gamma_k = k*u/(1-k*u), no over/underflow): a term of a row
+    of n passes through ceil(log2 n) additions that are not exact, so each
+    part errs by at most gamma_ceil(log2 n) times its absolute sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2), and by the
+    triangle inequality in R^2, as eval_mt_direct argues, the row's sum
+    errs by at most gamma_ceil(log2 n) * mass.  mass, itself rounded, is
+    within gamma_(n+1) of the exact sum of the terms' moduli (np.hypot
+    within an ulp, then n-1 additions), a second-order change for every n
+    the layer sums (n < 2^30).
     """
     p = a[:, None] * b[None]  # p[i, j] = a_i * b_j
-    terms = np.empty(p.shape[1:])
-    np.subtract(p[0, 0], p[1, 1], out=terms[0])
-    np.add(p[0, 1], p[1, 0], out=terms[1])
-    terms *= w
-    masses = np.add.accumulate(np.hypot(terms[0], terms[1]), axis=-1)[:, -1].tolist()
     rows, cols = w.shape
-    flat = memoryview(terms.reshape(-1))  # the real rows end to end, then the imaginary rows
-    return [
-        (complex(fsum(flat[i * cols : i * cols + n]), fsum(flat[(rows + i) * cols : (rows + i) * cols + n])), mass)
-        for i, (n, mass) in enumerate(zip(sizes, masses))
-    ]
+    width = 1 << (cols - 1).bit_length()
+    terms = np.empty((2, rows, width))
+    terms[..., cols:] = 0.0
+    re, im = terms[..., :cols]
+    np.subtract(p[0, 0], p[1, 1], out=re)
+    np.add(p[0, 1], p[1, 0], out=im)
+    terms[..., :cols] *= w
+    masses = np.add.accumulate(np.hypot(re, im), axis=-1)[:, -1].tolist()
+    while width > 1:
+        terms = terms[..., 0::2] + terms[..., 1::2]
+        width //= 2
+    sums_re, sums_im = terms[..., 0].tolist()
+    return [(complex(x, y), mass) for x, y, mass in zip(sums_re, sums_im, masses)]
 
 
 def _li_head(
@@ -422,8 +447,12 @@ def _li_head(
     t_n0 holds T(s,x,n0) per shape.  T(s,x,n) for n < n0 comes from one
     sequential reverse running sum over n = n0..1 per shape, the rows of a
     len(shapes) x n0 array.  The results are bit for bit those of the
-    scalar loop ``g = y**n * T * n**-t; T += x**n * n**-s`` up to the sign
-    of a zero part, which np.hypot and fsum drop.
+    scalar loop ``g = y**n * T * n**-t; T += x**n * n**-s`` with the terms g
+    added by _weighted_sums' aligned pairwise tree, up to the sign of a zero
+    part, which np.hypot and the tree's +0.0 padding drop.  That tree errs
+    by at most gamma_ceil(log2 n0)*mass (_weighted_sums); eval_li's n0 is
+    at most 16*MAX_ROOT_ORDER = 2^20, and gamma_20 < 21u is inside the
+    16*eps*mass = 32u*mass that _li_batch allows the head's summation.
     """
     xp, yp = _root_powers(x, n0 + 1)[:, :0:-1], _root_powers(y, n0 + 1)[:, :0:-1]
     fs = np.array([_inv_powers(s, n0) for s, _ in shapes])
@@ -432,7 +461,7 @@ def _li_head(
     tn[:, :, 0] = [[v.real for v in t_n0], [v.imag for v in t_n0]]
     np.multiply(xp[:, None, :-1], fs[:, :-1], out=tn[:, :, 1:])
     tn = np.add.accumulate(tn, axis=-1)
-    return _weighted_sums(yp[:, None], tn, ft, [n0] * len(shapes))
+    return _weighted_sums(yp[:, None], tn, ft)
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +481,8 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
 
     Each stopping majorant rides as one more entry on a sentinel rung
     (omega 0, c = 0) with value 0 and bound 1.0: its weight is the
-    majorant, and its zero term changes neither fsum nor the running mass.
+    majorant, and its zero term adds an exact zero to the sum and to the
+    running mass.
     """
     half = _HEAD_ORDER // 2
     betas, _, _ = _em_params(s, half)
@@ -515,7 +545,10 @@ def _li_tail(
     coef, pow and product 4u, the last product u), x^c within 12u (theta =
     2*pi*e/n within 3u*pi, cos and sin within an ulp), and the product's
     three roundings per part within sqrt(2)*3u.  So a term errs by at most
-    23u of its modulus, and fsum adds u*mass.
+    23u of its modulus, and a row of L entries adds gamma_ceil(log2 L)*mass
+    (_weighted_sums): 23u + gamma_k(1 + 23u) stays below 64u for every
+    k <= 40, and a schedule holds at most 6*2^16*2002 < 2^30 entries (6
+    sigmas, ord x <= 2^16 classes, at most 2001 terms and a sentinel each).
     """
     schedules = [_tail_schedule(s, t, x.order, n0) for s, t in shapes]
     z = root_mul(x, y)
@@ -533,7 +566,7 @@ def _li_tail(
         w[i, : sizes[i]] = wi
         where[:, i, : sizes[i]] = wherei
     lam = lam.take(where[0], axis=1)
-    sums = _weighted_sums(_root_powers(x, x.order + 1).take(where[1], axis=1), lam[:2], w, sizes)
+    sums = _weighted_sums(_root_powers(x, x.order + 1).take(where[1], axis=1), lam[:2], w)
     incs = np.empty((len(shapes), max(sizes) + 1))  # the bound so far, then the increments
     incs[:, 0] = bounds
     np.multiply(np.abs(w), lam[2], out=incs[:, 1:])
@@ -548,6 +581,17 @@ def _li_batch(shapes: list[tuple[int, int]], x: RootOfUnity, y: RootOfUnity, n0:
     (_li_tail), with one head tail_sum call per shape.  No row mixes with
     another, so every value and bound is bit for bit that of the batch of
     its shape alone.
+
+    The roundoff allowances (u = eps/2): (bound of T(s,x,n0) +
+    8*eps*1.645)*hsum carries T's error at every n, the running sum's
+    roundoff included, weighted by sum n^-t; 16*eps*mass_head = 32u*mass_head
+    the head's summation (_li_head, from _weighted_sums); 32*eps*mass_tail =
+    64u*mass_tail the tail's terms and their summation (_li_tail, from
+    _weighted_sums); and 32*eps*(mass_head + |value|) the head's terms and
+    the final addition head + tail.  A head term y^n*T*n^-t errs by at most
+    20u of its modulus: y^n within 12u, as x^c in _li_tail, n^-t within an
+    ulp, the product's three roundings per part within sqrt(2)*3u and the
+    product by n^-t within u.
     """
     half = _HEAD_ORDER // 2
 
@@ -594,7 +638,7 @@ class _LiMemo:
     as a hit, as the conjugate of that value with its bound, when both of
     the value's parts are nonzero.  That is what evaluating the key gives:
     root_value makes the phases of conjugate roots exactly conjugate, so
-    every product and fsum of the head, the ladder rungs and the tail has
+    every product and sum of the head, the ladder rungs and the tail has
     the same real part and the negated imaginary part, and np.hypot and
     abs the same moduli.  Only the sign of a zero part can differ, so a
     value with a zero part is not mirrored; its conjugate is computed.

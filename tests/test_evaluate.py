@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from tornheim.evaluate import (
     _li_batch,
     _li_head,
     _tail_schedule,
+    _weighted_sums,
     hurwitz_tail,
     oracle_rows,
     oracle_tail_bound,
@@ -358,6 +360,16 @@ class TestEvalLi:
                 assert abs(v.value - ref.value) <= v.error_bound + ref.error_bound
 
 
+def _pairwise(terms):
+    """The aligned pairwise sum in plain Python: pad with +0.0 to a power of
+    two, then add neighbours 2i and 2i+1 level by level."""
+    level = list(terms)
+    level += [0.0] * ((1 << (len(level) - 1).bit_length()) - len(level))
+    while len(level) > 1:
+        level = [level[i] + level[i + 1] for i in range(0, len(level), 2)]
+    return level[0]
+
+
 def _scalar_head(t_n0, s, t, x, y, n0):
     """The head as one plain loop over n = n0..1, the reference for _li_head."""
     t_run = t_n0
@@ -369,7 +381,7 @@ def _scalar_head(t_n0, s, t, x, y, n0):
         im.append(g.imag)
         mass += abs(g)
         t_run = t_run + (x**n).value() * float(n) ** -s
-    return complex(math.fsum(re), math.fsum(im)), mass
+    return complex(_pairwise(re), _pairwise(im)), mass
 
 
 class TestLiMemos:
@@ -502,6 +514,27 @@ _HEAD_CASES += [
 ]
 
 
+# Row lengths around powers of two for the pairwise tree, in one batch.
+_TREE_LENGTHS = [300, 1, 129, 2, 128, 3, 127]
+
+
+def _random_rows(lengths, seed):
+    """Random complex rows a and b and real weights w for _weighted_sums,
+    row i nonzero in its first lengths[i] columns and zero-weighted past them."""
+    rng = np.random.default_rng(seed)
+    shape = (2, len(lengths), max(lengths))
+    a, b = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    w = rng.uniform(0.5, 2.0, shape[1:])
+    for i, n in enumerate(lengths):
+        w[i, n:] = 0.0
+    return a, b, w
+
+
+def _spread_row(rng, n):
+    """n terms of alternating sign whose magnitudes spread over 2^-60..2^60."""
+    return [(-1) ** k * math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-60, 60)) for k in range(n)]
+
+
 class TestLiBatch:
     """One _li_batch per (x, y, n0) gives each shape the bits it has alone."""
 
@@ -512,6 +545,50 @@ class TestLiBatch:
         for (s, t), tv, (head, mass) in zip(shapes, t_n0, rows):
             ref_head, ref_mass = _scalar_head(tv, s, t, x, y, n0)
             assert (repr(head), repr(mass)) == (repr(ref_head), repr(ref_mass)), (s, t)
+
+    def test_tree_rows_of_any_length_get_the_bits_they_have_alone(self):
+        # The rows share one batch padded to 512 columns; alone, each is
+        # padded to its own power of two.
+        a, b, w = _random_rows(_TREE_LENGTHS, 19)
+        batch = _weighted_sums(a, b, w)
+        for i, n in enumerate(_TREE_LENGTHS):
+            alone = _weighted_sums(a[:, i : i + 1, :n], b[:, i : i + 1, :n], w[i : i + 1, :n])
+            assert [(repr(v), repr(m)) for v, m in alone] == [(repr(batch[i][0]), repr(batch[i][1]))], n
+            columns = list(zip(*a[:, i, :n].tolist(), *b[:, i, :n].tolist(), w[i, :n].tolist()))
+            re = [(ar * br - ai * bi) * c for ar, ai, br, bi, c in columns]
+            im = [(ar * bi + ai * br) * c for ar, ai, br, bi, c in columns]
+            assert repr(batch[i][0]) == repr(complex(_pairwise(re), _pairwise(im))), n
+
+    def test_tree_error_within_gamma_of_its_depth(self):
+        # Each part of a row of n terms errs by at most gamma_ceil(log2 n)
+        # times its absolute sum, measured against the exact rational sum.
+        # The rows cancel heavily, and the last pair of rows holds 1.0 and
+        # then terms of half its ulp, which a sequential sum drops one by one.
+        rng = random.Random(19)
+        lengths = sorted({1, 2, 3, 4097} | {2**k + d for k in range(2, 13) for d in (-1, 0, 1)})
+        rows = [(_spread_row(rng, n), _spread_row(rng, n)) for n in lengths]
+        rows.append(([1.0] + [2.0**-53] * 4096, [-1.0] + [-(2.0**-53)] * 4096))
+        width = max(len(re) for re, _ in rows)
+        b = np.zeros((2, len(rows), width))
+        w = np.zeros((len(rows), width))
+        for i, (re, im) in enumerate(rows):
+            b[0, i, : len(re)], b[1, i, : len(im)], w[i, : len(re)] = re, im, 1.0
+        # a = 1 + 0i makes every term exactly b.
+        sums = _weighted_sums(np.array([[[1.0]], [[0.0]]]), b, w)
+        u = Fraction(1, 2**53)
+        for (re, im), (value, _) in zip(rows, sums):
+            depth = (len(re) - 1).bit_length()
+            gamma = depth * u / (1 - depth * u)
+            for part, got in ((re, value.real), (im, value.imag)):
+                exact = sum(map(Fraction, part))
+                assert abs(Fraction(got) - exact) <= gamma * sum(abs(Fraction(x)) for x in part), len(part)
+
+    def test_tree_negated_imaginary_rows_negate_the_imaginary_sums(self):
+        a, b, w = _random_rows(_TREE_LENGTHS, 20)
+        conj = _weighted_sums(a * [[[1.0]], [[-1.0]]], b * [[[1.0]], [[-1.0]]], w)
+        for (v, mass), (c, cmass) in zip(_weighted_sums(a, b, w), conj):
+            assert v.real != 0.0 and v.imag != 0.0
+            assert (repr(c), repr(cmass)) == (repr(v.conjugate()), repr(mass))
 
     @pytest.mark.parametrize("k", [2, 7, 18])
     @pytest.mark.parametrize(
