@@ -15,7 +15,6 @@ from .decompose import MTIndex, decompose, to_level2
 from .evaluate import EvalConfig, ValueWithError, eval_decomposition, eval_mt_direct
 from .verify import (
     Report,
-    _color_pair_count,
     check_relation,
     cross_check_grid,
     format_report_table,
@@ -43,10 +42,6 @@ def _orders(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad orders list {text!r}") from None
     if not orders or any(n < 1 for n in orders):
         raise argparse.ArgumentTypeError("orders must be positive integers")
-    try:
-        _color_pair_count(orders)  # an oversized grid is refused before any root is built
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
     return orders
 
 

@@ -90,9 +90,10 @@ Summation machinery, bottom up:
   of each residue class of m form a sliding window of their own, so one
   pass over these windows, cutoff^2/2 multiply-adds whatever the order,
   gives every class row, and OracleRows.recolor to another root of the
-  same order contracts nothing.  A higher order contracts the plain
-  window against phase-weighted columns instead.  No index arrays are
-  built and scratch memory is O(cutoff), at most about 40*cutoff doubles.
+  same order contracts nothing; to a root of another order it is a fresh
+  oracle_rows.  A higher order contracts the plain window against
+  phase-weighted columns instead.  No index arrays are built and scratch
+  memory is O(cutoff), at most about 40*cutoff doubles.
   The oracle builds its own phases root^j from root_value and reads none
   of the Li layer's memos.  After the class rows it multiplies and adds
   only reals, so its values, like the Li layer's, have the same bits at
@@ -120,14 +121,14 @@ diagonals of each residue class mod ord beta one after the other in k
 order (np.bincount), so its results are deterministic and do not change with
 the BLAS thread count or the number of CPUs.  A contraction of at least
 _PARALLEL_FLOOR = 2**21 multiply-adds (cutoff 20000, not the grid's 1000)
-shares its blocks of diagonals among one worker thread per CPU the
-process may use, each taking the next block from a queue (_contract),
-but each block is still one einsum call on the same operands, so the
-split moves no bit.  Any summation of n terms errs by
-at most gamma_(n-1) times their absolute sum (Higham, Accuracy and
-Stability of Numerical Algorithms, 4.2); eval_mt_direct derives from
-that that the roundoff allowance eps*(cutoff+64)*mass covers these
-orders.
+shares its blocks of _BLOCK = 64 diagonals, one size for every order,
+among one worker thread per CPU the process may use, each taking the
+next block from a queue (_contract), but each block is still one einsum
+call on the same operands, so the split moves no bit.  Any summation of
+n terms errs by at most gamma_(n-1) times their absolute sum (Higham,
+Accuracy and Stability of Numerical Algorithms, 4.2); eval_mt_direct
+derives from that that the roundoff allowance eps*(cutoff+64)*mass covers
+these orders.
 """
 from __future__ import annotations
 
@@ -171,15 +172,13 @@ _BERNOULLI = {
 _HEAD_ORDER = 8
 _LADDER_ORDER = 16
 
-# Diagonals per block of the plain oracle window; the block's slice is 256 x k.
-_ORACLE_BLOCK = 256
-
-# Rows per block of the residue windows of an order >= 2, every residue at
-# once.  A residue window is only cutoff/order long, and a shorter block
-# wastes less of the zero triangle above its diagonal: of 32, 64, 128 and
-# 256, 64 was fastest or within 3% of it for orders 2-16 at cutoffs 1000
-# and 20000 on a 2-vCPU x86-64 VM.
-_CLASS_BLOCK = 64
+# Window rows per block of every oracle contraction (_contract), every
+# residue at once.  The rows have the same bits at any block size; a
+# shorter block wastes less of the zero triangle above its diagonal.  Of
+# 32, 64, 128 and 256, 64 was fastest or within 3% of it for orders 2-16
+# at cutoffs 1000 and 20000 on a 2-vCPU x86-64 VM, and at order 1 as fast
+# as 256 (64 vs 67 ms at cutoff 20000).
+_BLOCK = 64
 
 # Multiply-adds below which _contract runs on the calling thread alone.  A
 # class pass is about cutoff^2/2 of them whatever the order, an above-cap
@@ -708,18 +707,23 @@ class _LiMemo:
 _li_memo = _LiMemo()
 
 
+def _head_length(x: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
+    """eval_li's head length n0 = min(max_inner_terms, max(128, 16*ord x))."""
+    return min(cfg.max_inner_terms, max(128, 16 * x.order))
+
+
 def eval_li(
     s: int, t: int, x: RootOfUnity, y: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> ValueWithError:
     """Li[s,t](x,y) = sum_{m>n>=1} x^m y^n / (m^s n^t); the caller checks the bound.
 
-    One pass, head length n0 = min(max_inner_terms, max(128, 16*ord x)): a
-    longer head cannot lower the bound.  Its truncation parts are already
-    negligible (the j-series stops once its majorant is below 1e-18; the
-    head tail and the expansion remainder are Euler-Maclaurin terms of
-    relative size about 1e-16), and the roundoff allowance 8*eps*1.645*hsum
-    + 16*eps*mass_head + 32*eps*mass does not fall as n0 grows (for t = 1,
-    hsum = 1 + log n0 rises).
+    One pass, head length n0 = min(max_inner_terms, max(128, 16*ord x))
+    (_head_length): a longer head cannot lower the bound.  Its truncation
+    parts are already negligible (the j-series stops once its majorant is
+    below 1e-18; the head tail and the expansion remainder are
+    Euler-Maclaurin terms of relative size about 1e-16), and the roundoff
+    allowance 8*eps*1.645*hsum + 16*eps*mass_head + 32*eps*mass does not
+    fall as n0 grows (for t = 1, hsum = 1 + log n0 rises).
 
     A max_inner_terms below 2*ord(x)+1 is a ValueError: the tail's binomial
     re-expansion needs a head longer than twice the order of x.  So is a
@@ -735,8 +739,7 @@ def eval_li(
             f"max_inner_terms = {cfg.max_inner_terms} is below 2*order+1 = {2 * x.order + 1}"
             f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
         )
-    n0 = min(cfg.max_inner_terms, max(128, 16 * x.order))
-    return _li_memo.get(s, t, x, y, n0)
+    return _li_memo.get(s, t, x, y, _head_length(x, cfg))
 
 
 _LI_MEMOS = (_hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
@@ -827,13 +830,15 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
+def _contract(windows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """out[r, c, i] = sum_j windows[r, i, j] * cols[c, j], every window against every column.
 
-    Each block of rows i is contracted by numpy's einsum loop, without BLAS:
-    every entry is one dot product over j, in an unspecified order that is
-    fixed for a given length and numpy build.  Every row the oracle sums
-    passes through here.
+    Each block of _BLOCK rows i is contracted by numpy's einsum loop,
+    without BLAS: every entry is one dot product over j, in an unspecified
+    order that is fixed for a given length and numpy build.  A block reads
+    j up to its last row, so it adds exact zeros past row i's diagonal, and
+    the rows have the same bits at blocks 32, 64 and 256.  Every row the
+    oracle sums passes through here.
 
     The blocks are taken one at a time from a queue, longest first.  Below
     _PARALLEL_FLOOR multiply-adds the calling thread takes them all; from
@@ -847,7 +852,7 @@ def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
     """
     size = cols.shape[1]
     out = np.empty((len(windows), len(cols), size))
-    starts = range(0, size, block)
+    starts = range(0, size, _BLOCK)
     pending = iter(starts[::-1])
     lock = threading.Lock()
 
@@ -857,7 +862,7 @@ def _contract(windows: np.ndarray, cols: np.ndarray, block: int) -> np.ndarray:
                 i0 = next(pending, None)
             if i0 is None:
                 return
-            i1 = min(i0 + block, size)
+            i1 = min(i0 + _BLOCK, size)
             out[:, :, i0:i1] = np.einsum("rij,cj->rci", windows[:, i0:i1, :i1], cols[:, :i1])
 
     serial = len(windows) * len(cols) * size * size // 2 < _PARALLEL_FLOOR
@@ -895,11 +900,11 @@ def _class_rows(a: np.ndarray, b: np.ndarray, order: int, size: int) -> np.ndarr
     contracted against the columns (c + i*order)^-q of every class gives
     each entry C_c(k) as one dot product, and every term is in exactly one.
     Together that is size^2/2 multiply-adds whatever the order.  Order 1
-    is the plain window against n^-q, in blocks of _ORACLE_BLOCK.
+    is the plain window against n^-q.
     """
     length = -(-size // order)
     cols = np.ascontiguousarray(b[: order * length].reshape(length, order).T)
-    out = _contract(_windows(a, order, length), cols, _ORACLE_BLOCK if order == 1 else _CLASS_BLOCK)
+    out = _contract(_windows(a, order, length), cols)
     # out[rho-1, c-1, s] belongs on diagonal k-2 = (c-1) + s*order + (rho-1).
     # A view whose row stride is one element longer than the buffer's starts
     # row c-1 at column c-1, so one copy puts every entry in place.  Columns
@@ -943,10 +948,9 @@ class OracleRows:
     im is +0.0.  Above _MAX_CLASS_ORDER the class rows would take more than
     16*(cutoff-1) doubles, so there classes is None and the plain window is
     contracted against alpha^n*n^-q, its real and imaginary parts, and
-    n^-q instead.  bound is the tail bound plus eps*(cutoff+64)*mass,
-    mass = sum_k mod[k-2] * k^-r, the order's own mod.  recolor shares a
-    and b, the m^-p and n^-q tables (m, n = 1..cutoff+_MAX_CLASS_ORDER-1),
-    and kf, the k^-r table (k = 2..cutoff).
+    n^-q instead.  kf is the k^-r table (k = 2..cutoff); bound is the tail
+    bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r, the
+    order's own mod.
     """
 
     index: MTIndex
@@ -957,61 +961,52 @@ class OracleRows:
     mod: np.ndarray
     kf: np.ndarray
     bound: float
-    a: np.ndarray
-    b: np.ndarray
     classes: np.ndarray | None
 
     def recolor(self, alpha: RootOfUnity) -> OracleRows:
         """The rows of alpha.  A root of the same order recombines the
-        stored class rows and contracts nothing; any other builds its own
-        order's class rows.  Either way the bits are those of a fresh
-        oracle_rows(index, alpha)."""
+        stored class rows, contracts nothing and shares classes, mod, kf and
+        bound; any other is a fresh oracle_rows(index, alpha) at this
+        cutoff.  Either way the bits are those of a fresh oracle_rows."""
         _check_root_orders("OracleRows.recolor", alpha=alpha)
         if alpha == self.alpha:
             return self
         if alpha.order != self.alpha.order or self.classes is None:
-            return _colored_rows(self.index, self.cutoff, alpha, self.a, self.b, self.kf)
+            return oracle_rows(self.index, alpha, EvalConfig(oracle_cutoff=self.cutoff))
         re, im, _ = _combine(self.classes, _phases(alpha, alpha.order))
         return replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
 
 
-def _colored_rows(
-    index: MTIndex, cut: int, alpha: RootOfUnity, a: np.ndarray, b: np.ndarray, kf: np.ndarray
-) -> OracleRows:
-    """The OracleRows of alpha from the alpha-free tables: one pass over the window."""
+def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
+    """The oracle's diagonal sums over n, its k^-r table and its bound.
+
+    Builds the m^-p and n^-q tables (m, n = 1..cutoff+_MAX_CLASS_ORDER-1)
+    and the rows of alpha in one pass over the window.  Scratch memory is
+    O(cutoff), about (2*ord alpha + 5)*cutoff doubles up to the class cap
+    and 17*cutoff above it, and time O(cutoff^2).  A pass of
+    _PARALLEL_FLOOR = 2**21 multiply-adds or more (from cutoff about 2050,
+    or 1180 above the cap) runs on min(CPUs the process may use, blocks)
+    threads for the length of the call (_contract); the rows have the same
+    bits at every count.
+    """
+    _check_root_orders("oracle_rows", alpha=alpha)
+    cut = cfg.oracle_cutoff
     size, order = cut - 1, alpha.order
+    ns = np.arange(1, cut + _MAX_CLASS_ORDER, dtype=np.float64)
+    a, b = (_neg_int_pow(ns, e) for e in (index.p, index.q))
+    kf = _read_only(_neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r))
     if order > _MAX_CLASS_ORDER:
         classes = None
         phase = _phases(alpha, min(order, size))[np.arange(size) % order]  # alpha^n, n = 1..cutoff-1
         col = b[:size]
-        cols = np.array([phase.real * col, phase.imag * col, col])
-        rows = _contract(_windows(a, 1, size), cols, _ORACLE_BLOCK)[0]
+        rows = _contract(_windows(a, 1, size), np.array([phase.real * col, phase.imag * col, col]))[0]
     else:
         classes = _read_only(_class_rows(a, b, order, size))
         rows = _combine(classes, _phases(alpha, order))
     re, im, mod = (_read_only(row) for row in rows)
     mass = fsum((mod * kf).tolist())
     bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
-    return OracleRows(index, cut, alpha, re, im, mod, kf, bound, a, b, classes)
-
-
-def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
-    """The oracle's diagonal sums over n, its k^-r table and its bound.
-
-    Builds the alpha-free tables and the rows of alpha in one pass over the
-    window (_colored_rows).  Scratch memory is O(cutoff), about
-    (2*ord alpha + 5)*cutoff doubles up to the class cap and 17*cutoff above
-    it, and time O(cutoff^2).  A pass of _PARALLEL_FLOOR = 2**21
-    multiply-adds or more (from cutoff about 2050, or 1180 above the cap)
-    runs on min(CPUs the process may use, blocks) threads for the length of
-    the call (_contract); the rows have the same bits at every count.
-    """
-    _check_root_orders("oracle_rows", alpha=alpha)
-    cut = cfg.oracle_cutoff
-    ns = np.arange(1, cut + _MAX_CLASS_ORDER, dtype=np.float64)
-    a, b = (_read_only(_neg_int_pow(ns, e)) for e in (index.p, index.q))
-    kf = _read_only(_neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r))
-    return _colored_rows(index, cut, alpha, a, b, kf)
+    return OracleRows(index, cut, alpha, re, im, mod, kf, bound, classes)
 
 
 def eval_mt_direct(

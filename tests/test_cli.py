@@ -1,4 +1,3 @@
-import argparse
 import json
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from tornheim import (
     eval_mt_direct,
     term_from_record,
 )
-from tornheim.cli import _format_value, _orders, run
+from tornheim.cli import _format_value, run
 
 
 def test_decompose_bar_notation(capsys):
@@ -203,18 +202,9 @@ def test_eval_with_p_beyond_1023_agrees_with_the_oracle(capsys):
     assert abs(dec.value - oracle.value) <= dec.error_bound + oracle.error_bound
 
 
-def test_verify_refuses_an_oversized_color_grid(capsys):
-    # The order-20000 grid would hold 4e8 color pairs; it used to end in a
-    # MemoryError traceback after the fixtures and R(2,1,2) had run.
-    assert run(["verify", "--grid-weight", "3", "--orders", "20000"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "argument --orders: color_pairs: " in err
-    assert "MAX_COLOR_PAIRS = 2**16" in err and "Traceback" not in err
-
-
-def test_orders_check_builds_no_root(monkeypatch):
-    # --orders is only counted: building and sorting all 256**2 pairs took
-    # 37 ms for "256" and was thrown away.
+@pytest.fixture
+def built_roots(monkeypatch):
+    """The (exponent, order) of every RootOfUnity built from here on."""
     built = []
     init = RootOfUnity.__init__
 
@@ -223,10 +213,32 @@ def test_orders_check_builds_no_root(monkeypatch):
         init(self, exponent, order)
 
     monkeypatch.setattr(RootOfUnity, "__init__", counting)
-    assert _orders("256") == [256] and _orders("1,2,3,4") == [1, 2, 3, 4]
-    with pytest.raises(argparse.ArgumentTypeError, match="MAX_COLOR_PAIRS"):
-        _orders("257")
-    assert built == []
+    return built
+
+
+# The only roots a refused verify builds: the parser's --alpha and --beta
+# defaults of the decompose, eval and oracle commands.
+PARSER_DEFAULT_ROOTS = {(1, 2), (0, 1)}
+
+
+def test_verify_refuses_an_oversized_color_grid(built_roots, capsys):
+    # The order-20000 grid would hold 4e8 color pairs; it used to end in a
+    # MemoryError traceback after the fixtures and R(2,1,2) had run.
+    assert run(["verify", "--grid-weight", "3", "--orders", "20000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: color_pairs: ")
+    assert "MAX_COLOR_PAIRS = 2**16" in err and "Traceback" not in err
+    assert set(built_roots) <= PARSER_DEFAULT_ROOTS
+
+
+def test_orders_check_builds_no_root(built_roots, capsys):
+    # The grid's color pairs are counted, never built, also when they are
+    # refused: the check must not cost what the grid would.
+    assert run(["verify", "--orders", "257"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: color_pairs: orders up to 257 ")
+    assert "MAX_COLOR_PAIRS = 2**16" in err and "Traceback" not in err
+    assert set(built_roots) <= PARSER_DEFAULT_ROOTS
 
 
 @pytest.mark.parametrize("weight, constraint", [("2", "max_weight must be >= 3"), ("10000", "MAX_GRID_CASES = 2**16")])

@@ -303,7 +303,7 @@ class TestEvalLi:
         upper = [x for x in roots if 2 * x.exponent <= x.order]
         for s, t in [(2, 1), (3, 2), (5, 1), (4, 4), (10, 10), (19, 1)]:
             for x in upper:
-                n0 = max(128, 16 * x.order)
+                n0 = evaluate._head_length(x)
                 for y in roots:
                     v, b = _li_once(s, t, x, y, n0)
                     vc, bc = _li_once(s, t, x.conjugate(), y.conjugate(), n0)
@@ -479,7 +479,7 @@ class TestLiMemos:
             eval_li(s, t, x.conjugate(), y)
             eval_li(s + 1, t, x, y.conjugate())
         # An uncached pass at eval_li's default head length, on warm memos.
-        warm = [_li_once(s, t, x, y, max(128, 16 * x.order)) for s, t, x, y in shapes]
+        warm = [_li_once(s, t, x, y, evaluate._head_length(x)) for s, t, x, y in shapes]
         assert [(repr(v), repr(b)) for v, b in warm] == [
             (repr(v.value), repr(v.error_bound)) for v in cold
         ]
@@ -619,7 +619,7 @@ class TestLiBatch:
             d = decompose(idx, root(a), root(b))
             got = eval_decomposition(d)
             alone = ValueWithError.combine(
-                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, max(128, 16 * u.x.order))))
+                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, evaluate._head_length(u.x))))
                 for u in d.terms
             )
             assert (repr(got.value), repr(got.error_bound)) == (repr(alone.value), repr(alone.error_bound)), d
@@ -733,7 +733,7 @@ class TestOracle:
         # plain-Python sum of every (m, n) term with m+n <= cut; only the
         # roundoff allowance separates the two, so a shifted window or a
         # term in the wrong residue class cannot hide.  At cutoff 300 a
-        # residue window of order 2 spans three class blocks.
+        # residue window of order 2 spans three blocks.
         p, q, r = pqr
         ua = cmath.exp(2j * math.pi * alpha.exponent / alpha.order)
         ub = cmath.exp(2j * math.pi * beta.exponent / beta.order)
@@ -938,12 +938,11 @@ def _reference_classes(index, order, cut):
     length = -(-size // order)
     ns = np.arange(1, order * length + 1, dtype=np.float64)
     a, b = evaluate._neg_int_pow(ns, index.p), evaluate._neg_int_pow(ns, index.q)
-    block = evaluate._ORACLE_BLOCK if order == 1 else evaluate._CLASS_BLOCK
     classes = [[0.0] * size for _ in range(order)]
     for rho in range(1, order + 1):
         window = _dense_window(a[rho - 1 :: order])
         for c in range(1, order + 1):
-            row = _dot_rows(window, np.ascontiguousarray(b[c - 1 :: order]), block).tolist()
+            row = _dot_rows(window, np.ascontiguousarray(b[c - 1 :: order]), evaluate._BLOCK).tolist()
             for s, x in enumerate(row):
                 if rho + c + s * order <= cut:
                     classes[c - 1][rho + c + s * order - 2] = x
@@ -963,7 +962,7 @@ def _reference_rows(index, alpha, cut, classes):
         phase = np.array([(alpha**n).value() for n in range(1, cut)])
         window = _dense_window(a)
         cols = (phase.real * b, phase.imag * b, b)
-        return np.array([_dot_rows(window, col, evaluate._ORACLE_BLOCK) for col in cols]).tobytes()
+        return np.array([_dot_rows(window, col, evaluate._BLOCK) for col in cols]).tobytes()
     phases = [(alpha**c).value() for c in range(1, alpha.order + 1)]
     rows = []
     for w in ([z.real for z in phases], [z.imag for z in phases], [1.0] * alpha.order):
@@ -1075,14 +1074,13 @@ class TestOracleRowClasses:
         same, other = rows.recolor(I.conjugate()), rows.recolor(W3)
         for recolored in (same, other):
             assert (recolored.index, recolored.cutoff) == (idx, cut)
-            for field in ("a", "b", "kf"):
-                assert getattr(recolored, field) is getattr(rows, field), field
             for row in (recolored.re, recolored.im):
                 with pytest.raises(ValueError):
                     row[0] = 1.0
-        # A root of the same order shares the class rows, the modulus row
-        # and the bound; another order has its own.
+        # A root of the same order shares the class rows, the modulus row,
+        # the k^-r table and the bound; another order has its own.
         assert same.classes is rows.classes and same.mod is rows.mod and same.bound == rows.bound
+        assert same.kf is rows.kf and other.kf.tobytes() == rows.kf.tobytes()
         assert other.classes.shape == (3, cut - 1)
         for r in (rows, other):
             mass = math.fsum((r.mod * r.kf).tolist())
@@ -1091,14 +1089,27 @@ class TestOracleRowClasses:
         with pytest.raises(ValueError, match="MAX_ROOT_ORDER"):
             rows.recolor(RootOfUnity(1, MAX_ROOT_ORDER + 1))
 
+    # One block size serves every contraction, and the rows must not depend
+    # on it: a block reads each window row up to the block's last row, so
+    # the size only moves how many exact zeros a dot product adds.
+    @pytest.mark.parametrize("cut", [1000, 2200])
+    def test_rows_do_not_depend_on_the_block_size(self, cut, monkeypatch):
+        assert ((cut - 1) ** 2 // 2 >= evaluate._PARALLEL_FLOOR) == (cut == 2200)
+        idx, cfg = MTIndex(2, 1, 2), EvalConfig(oracle_cutoff=cut)
+        alphas, got = (ONE, MINUS_ONE, RootOfUnity(5, 12), ABOVE_THE_CAP[0]), {}
+        for block in (32, 64, 256):
+            monkeypatch.setattr(evaluate, "_BLOCK", block)
+            got[block] = [_row_bytes(oracle_rows(idx, alpha, cfg)) for alpha in alphas]
+        assert got[32] == got[64] == got[256]
+
     @pytest.fixture
     def passes(self, monkeypatch):
         count = [0]
         contract = evaluate._contract
 
-        def counting(windows, cols, block):
+        def counting(windows, cols):
             count[0] += 1
-            return contract(windows, cols, block)
+            return contract(windows, cols)
 
         monkeypatch.setattr(evaluate, "_contract", counting)
         return count
@@ -1145,10 +1156,11 @@ class TestOracleRowClasses:
         return built
 
     # At cutoff 2200 a class pass is 2.4e6 multiply-adds, above the floor.
-    # Its blocks: 2199 rows of 256 at order 1 and above the cap, 1100 of
-    # 64 at order 2, 184 of 64 at order 12, so there W stops at 3.
+    # Its blocks of 64 rows: 35 of a 2199-row window at order 1 and above
+    # the cap, 18 of 1100 rows at order 2, 3 of 184 rows at order 12, so
+    # there W stops at 3.
     @pytest.mark.parametrize(
-        "alpha, blocks", [(ONE, 9), (MINUS_ONE, 18), (RootOfUnity(5, 12), 3), (ABOVE_THE_CAP[0], 9)]
+        "alpha, blocks", [(ONE, 35), (MINUS_ONE, 18), (RootOfUnity(5, 12), 3), (ABOVE_THE_CAP[0], 35)]
     )
     def test_rows_do_not_depend_on_the_workers(self, alpha, blocks, monkeypatch, executors):
         cut = 2200
@@ -1156,8 +1168,8 @@ class TestOracleRowClasses:
         contract = evaluate._contract
         outs = {}
 
-        def recording(windows, cols, block):
-            out = contract(windows, cols, block)
+        def recording(windows, cols):
+            out = contract(windows, cols)
             outs[workers].append(out.tobytes())
             return out
 
@@ -1296,7 +1308,7 @@ class TestHonestyRandomized:
 
         def combined(d, scale):
             return ValueWithError.combine(
-                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, scale * max(128, 16 * u.x.order))))
+                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, scale * evaluate._head_length(u.x))))
                 for u in d.terms
             )
 
