@@ -50,15 +50,16 @@ Summation machinery, bottom up:
 
 * Memos under eval_li, which only skip recomputation (every value and
   bound is bit for bit what the uncached arithmetic gives): the Hurwitz
-  rows above; the ladder tails tail_sum(omega, xy, n0), shared by every
-  shape and color pair with that product; the n^-e tables; the root
-  powers, the layer's one root-power rule, a table per (root, n) whose
-  column j is root^j (tail_sum and the tail read x^c at column c of
-  _root_powers(x, ord x + 1), the head reads _root_powers(., n0 + 1)
-  backwards); and the tail schedules per (s, t, ord x, n0).  eval_li's
-  own memo (_LiMemo) is keyed on (s, t, x, y, n0), n0 being the only
-  config field a value reads.  A decomposition's terms come in two color
-  groups, Li(alpha*beta, conj alpha) and Li(beta, alpha);
+  rows above; tail_sum's own values, the head's T(s, x, n0) and the ladder
+  rungs tail_sum(omega, xy, n0), each shared by every shape and color pair
+  with that key, every call still made through the module name; the n^-e
+  tables; the root powers, the layer's one root-power rule, a table per
+  (root, n) whose column j is root^j (tail_sum and the tail read x^c at
+  column c of _root_powers(x, ord x + 1), the head reads _root_powers(.,
+  n0 + 1) backwards); and the tail schedules per (s, t, ord x, n0).
+  eval_li's own memo (_LiMemo) is keyed on (s, t, x, y, n0), n0 being the
+  only config field a value reads.  A decomposition's terms come in two
+  color groups, Li(alpha*beta, conj alpha) and Li(beta, alpha);
   eval_decomposition lets the memo see each group's shapes, and a miss
   evaluates its key with every uncached shape of its group in one
   _li_batch, keeping the others' values until their own calls.  A key
@@ -66,17 +67,17 @@ Summation machinery, bottom up:
   conjugate, unless that value has a zero part.  eval_li.cache_clear()
   empties all of them, the values computed ahead included (only the
   Euler-Maclaurin coefficients stay), and eval_li.cache_info() counts
-  eval_li's own calls: a miss is a call whose value was computed, alone
-  or ahead, and made one head tail_sum; a hit is served from the memo or
-  by conjugation.  hurwitz_tail and tail_sum stay uncached.  Memory
-  grows with the distinct inputs: per distinct key, order floats for a
-  row, n0 for a power table, n for a root-power table, one entry per
-  rung or eval_li call, and 1 float and 2 small integers per j-series
-  term of a schedule.  One pass of the benchmark's eval workload holds
-  about 1.3 MB of schedule arrays (1246 schedules, 126k terms) and
-  0.2 MB of root powers.  tail_sum, eval_li, eval_mt_direct and
-  oracle_rows reject roots of order above MAX_ROOT_ORDER = 2**16 before
-  building anything sized by the order.
+  eval_li's own calls: a miss is a call whose value was computed, alone or
+  ahead, and made one head tail_sum call; a hit is served from the memo or
+  by conjugation.  hurwitz_tail stays uncached.  Memory grows with the
+  distinct inputs: per distinct key, order floats for a row, n0 for a
+  power table, n for a root-power table, one entry per tail_sum or eval_li
+  call, and 1 float and 2 small integers per j-series term of a schedule.
+  One pass of the benchmark's eval workload holds about 1.3 MB of schedule
+  arrays (1246 schedules, 126k terms) and 0.2 MB of root powers.
+  tail_sum, eval_li, eval_mt_direct and oracle_rows reject roots of order
+  above MAX_ROOT_ORDER = 2**16 before building anything sized by the
+  order.
 
 * eval_mt_direct: the independent ground truth.  A plain diagonal-major
   truncated double sum of the defining series, with a color-independent
@@ -233,10 +234,20 @@ class ValueWithError:
 
     @classmethod
     def combine(cls, parts: Iterable[tuple[Rational, ValueWithError]]) -> ValueWithError:
-        """sum c*v over (rational c, v) pairs, fsum-combined in their order."""
+        """sum c*v over (rational c, v) pairs, fsum-combined in their order.
+
+        Each c is rounded to a double first, as c*v would round it.  A c
+        beyond the double range is a ValueError.
+        """
         re, im, eb = [], [], []
         mass = 0.0
         for c, v in parts:
+            try:
+                c = float(c)
+            except OverflowError:
+                raise ValueError(
+                    "ValueWithError.combine: a coefficient is beyond the double range (|c| < 2**1024 required)"
+                ) from None
             re.append(c * v.value.real)
             im.append(c * v.value.imag)
             eb.append(abs(c) * v.error_bound)
@@ -344,8 +355,15 @@ def _hurwitz_row(s: int, nn: int, n: int, order: int) -> tuple[tuple[float, ...]
     return tuple(row), bound, mass
 
 
+@lru_cache(maxsize=None, typed=True)
 def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
-    """T(s,x,n) = sum_{m>n} x^m / m^s via residue-class Hurwitz tails."""
+    """T(s,x,n) = sum_{m>n} x^m / m^s via residue-class Hurwitz tails.
+
+    Memoised for eval_li's head T(s, x, n0) and ladder rungs T(omega, xy,
+    n0), which repeat across shapes and colors.  The memo is typed, so an
+    argument equal to a valid one but of another type (3.0 for 3) is still
+    refused, not served.
+    """
     _check_root_orders("tail_sum", x=x)
     if not isinstance(s, int) or s < 2:
         raise ValueError("tail_sum requires integer s >= 2")
@@ -361,18 +379,15 @@ def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
     return ValueWithError(value, scale * (bound + 8.0 * _EPS * mass))
 
 
-@lru_cache(maxsize=None)
-def _ladder_tail(omega: int, z: RootOfUnity, n0: int) -> ValueWithError:
-    """One rung of eval_li's acceleration ladder, shared by every shape."""
-    return tail_sum(omega, z, n0, _LADDER_ORDER)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
 def _inv_powers(e: int, n0: int) -> np.ndarray:
     """float(n) ** -e for n = n0, n0-1, ..., 1: the head's order of n."""
-    table = np.array([float(n) ** -e for n in range(n0, 0, -1)])
-    table.flags.writeable = False
-    return table
+    return _read_only(np.array([float(n) ** -e for n in range(n0, 0, -1)]))
 
 
 @lru_cache(maxsize=None)
@@ -382,10 +397,8 @@ def _root_powers(root: RootOfUnity, n: int) -> np.ndarray:
     The Li layer's only root-power table: tail_sum and the tail read
     columns j <= order, the head reads the table backwards.
     """
-    powers = np.array([root_value(root**j) for j in range(root.order)])[np.arange(n) % root.order]
-    table = np.array([powers.real, powers.imag])
-    table.flags.writeable = False
-    return table
+    powers = np.array([root_value(root**j) for j in range(min(root.order, n))])[np.arange(n) % root.order]
+    return _read_only(np.array([powers.real, powers.imag]))
 
 
 def _weighted_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[tuple[complex, float]]:
@@ -521,10 +534,8 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
                     break
                 if j > 2000:
                     raise RuntimeError("binomial re-expansion failed to converge")
-    weights = np.array(weights)
     where = np.array([rungs, pos], dtype=np.min_scalar_type(max(nx, max(rungs))))
-    weights.flags.writeable = where.flags.writeable = False
-    return tuple(sorted(set(rungs) - {0})), weights, where
+    return tuple(sorted(set(rungs) - {0})), _read_only(np.array(weights)), _read_only(where)
 
 
 def _li_tail(
@@ -555,7 +566,7 @@ def _li_tail(
     # the sentinel.
     lam = [(0.0, 0.0, 1.0)] * (max(omegas[-1] for omegas, _, _ in schedules) + 1)
     for omega in set().union(*(omegas for omegas, _, _ in schedules)):
-        v = _ladder_tail(omega, z, n0)
+        v = tail_sum(omega, z, n0, _LADDER_ORDER)
         lam[omega] = v.value.real, v.value.imag, v.error_bound
     lam = np.array(lam).T
     sizes = [len(w) for _, w, _ in schedules]
@@ -742,7 +753,7 @@ def eval_li(
     return _li_memo.get(s, t, x, y, _head_length(x, cfg))
 
 
-_LI_MEMOS = (_hurwitz_row, _ladder_tail, _inv_powers, _root_powers, _tail_schedule)
+_LI_MEMOS = (_hurwitz_row, tail_sum, _inv_powers, _root_powers, _tail_schedule)
 
 
 def _clear_li_caches() -> None:
@@ -816,11 +827,6 @@ def oracle_tail_bound(p: int, q: int, r: int, cutoff: int) -> float:
             " at cutoff 1 it grows as 2**max(p, q); use a cutoff >= 2"
         )
     return bound
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _cpu_count() -> int:

@@ -177,6 +177,24 @@ def test_overflowing_rung_exits_2_without_traceback(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "relation"])
+def test_coefficient_beyond_the_double_range_exits_2_without_traceback(command, tmp_path):
+    # MT(520,520,1) has the coefficient C(1040,520), about 1e311; the
+    # relation names one of 315 digits.  Both used to end in an
+    # OverflowError traceback and exit 1.
+    digits = "7" * 315
+    rel = tmp_path / "rel.txt"
+    rel.write_text(f"{digits}*zeta(2) == Li(2,1;1,1)\n", encoding="utf-8")
+    args = {
+        "eval": ["--p", "520", "--q", "520", "--r", "1"],
+        "relation": ["--file", str(rel)],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "tornheim", command, *args], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "coefficient is beyond the double range" in proc.stderr
+    assert "Traceback" not in proc.stderr and "777777" not in proc.stderr
+
+
 @pytest.mark.parametrize("pq", [("2000", "1"), ("1", "1100")])
 def test_oracle_bound_beyond_the_double_range_exits_2_without_traceback(pq):
     # At cutoff 1 the oracle's tail bound grows as 2**max(p, q); it used

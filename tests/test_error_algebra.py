@@ -5,6 +5,7 @@ so the test measures roundoff alone.  Each rule's roundoff allowance is its
 bound with every input error set to zero; the propagated part of the bound
 must not depend on it.
 """
+import math
 from fractions import Fraction
 from math import fsum
 
@@ -114,6 +115,28 @@ def test_huge_pi_power_overflows_to_a_named_error():
     # at the first non-finite product (about k = 620).
     with pytest.raises(ValueError, match="finite"):
         eval_constants(parse_relation("1*pi^1000000000 == Li(2,1;1,1)").terms)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [math.comb(1040, 520), -math.comb(1040, 520), Fraction(10**315, 7), Fraction(-(10**400), 10**80)],
+    ids=["binomial", "negative", "fraction", "huge-over-huge"],
+)
+def test_coefficient_beyond_the_double_range_is_a_named_error(coeff):
+    # C(1040, 520) is about 1e311; int * float used to raise OverflowError.
+    with pytest.raises(ValueError, match=r"coefficient is beyond the double range") as info:
+        ValueWithError.combine([(1, ValueWithError(1.0, 0.0)), (coeff, zeta_const(2))])
+    assert str(abs(coeff))[:12] not in str(info.value)
+
+
+def test_coefficient_within_the_double_range_rounds_as_a_product_would():
+    # A Fraction or an int beyond 2**53 is rounded to a double once, as
+    # c * v rounds it, so combine's bits are those of the plain products.
+    for c in (Fraction(10**300, 3), 3**600, Fraction(-1, 3), 2**53 + 1):
+        v = ValueWithError(complex(1.3, -0.7), 1e-16)
+        got = ValueWithError.combine([(c, v)])
+        want = complex(fsum([c * v.value.real]), fsum([c * v.value.imag]))
+        assert (repr(got.value), got.error_bound) == (repr(want), abs(c) * 1e-16 + 4.0 * EPS * abs(c) * abs(v.value))
 
 
 def test_r212_closed_form_goes_through_the_relation_evaluator():

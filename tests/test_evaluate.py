@@ -38,6 +38,7 @@ from tornheim.evaluate import (
     _hurwitz_row,
     _li_batch,
     _li_head,
+    _root_powers,
     _tail_schedule,
     _weighted_sums,
     hurwitz_tail,
@@ -176,16 +177,27 @@ class TestTailSum:
             assert abs(v8.value - v16.value) <= v8.error_bound + v16.error_bound
 
     @pytest.mark.parametrize("nn", range(1, 13))
-    def test_phases_at_every_n_equal_scalar_formula(self, nn):
+    def test_phases_at_every_n_equal_scalar_formula(self, nn, monkeypatch):
         # Every residue n mod nn and both n > nn and n < nn, so that each
-        # phase x^c and x^(n mod nn) is read.
+        # phase x^c and x^(n mod nn) is read.  The root-power table of n
+        # columns has the bits of all nn phases taken at j mod nn.
+        root_value = evaluate.root_value
         for x in [RootOfUnity(k, nn) for k in range(nn) if math.gcd(k, nn) == 1]:
+            every = np.array([root_value(x**j) for j in range(nn)])
             for n in range(2 * nn + 2):
+                phases = every[np.arange(n + 1) % nn]
+                assert _root_powers(x, n + 1).tobytes() == np.array([phases.real, phases.imag]).tobytes(), (x, n)
                 for s in (2, 5, 19):
                     for order in (8, 16):
                         got = tail_sum(s, x, n, order)
                         ref = _scalar_tail_sum(s, x, n, order)
                         assert (repr(got.value), repr(got.error_bound)) == ref, (s, x, n, order)
+        # A table shorter than the order builds only the phases it holds.
+        calls, big = [], RootOfUnity(1, MAX_ROOT_ORDER)
+        monkeypatch.setattr(evaluate, "root_value", lambda root: calls.append(root) or root_value(root))
+        phases = np.array([root_value(big**j) for j in range(2 * nn + 2)])
+        assert _root_powers(big, 2 * nn + 2).tobytes() == np.array([phases.real, phases.imag]).tobytes()
+        assert len(calls) == 2 * nn + 2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -458,17 +470,25 @@ class TestLiMemos:
         assert len(calls) == 8 and _hurwitz_row.cache_info().currsize == rows.currsize == 1
         assert a.value != b.value and a.error_bound == b.error_bound
 
-    def test_public_layers_are_not_cached(self, monkeypatch):
-        assert not hasattr(hurwitz_tail, "cache_info") and not hasattr(tail_sum, "cache_info")
+    def test_tail_sum_is_memoised_and_hurwitz_tail_is_not(self, monkeypatch):
+        assert not hasattr(hurwitz_tail, "cache_info")
         assert hurwitz_tail(3, 2.5) is not hurwitz_tail(3, 2.5)
-        assert tail_sum(3, I, 64) is not tail_sum(3, I, 64)
-        # After a clear, tail_sum reaches hurwitz_tail through the module
-        # namespace again, where a tracer can see it.
+        # tail_sum keeps its values until eval_li.cache_clear() empties them.
+        assert tail_sum in evaluate._LI_MEMOS
         calls = []
         monkeypatch.setattr(evaluate, "hurwitz_tail", lambda *a: calls.append(a) or hurwitz_tail(*a))
         eval_li.cache_clear()
+        assert tail_sum(3, I, 64) is tail_sum(3, I, 64)
+        assert tail_sum.cache_info()[:2] == (1, 1) and len(calls) == 4
+        # An argument equal to a valid one but of another type is refused.
+        with pytest.raises(ValueError):
+            tail_sum(3.0, I, 64)
+        # After a clear, tail_sum reaches hurwitz_tail through the module
+        # namespace again, where a tracer can see it.
+        eval_li.cache_clear()
+        assert tail_sum.cache_info().currsize == 0
         tail_sum(3, I, 64)
-        assert len(calls) == 4
+        assert len(calls) == 8
 
     def test_cold_value_equals_warm_value_bit_for_bit(self):
         shapes = [(2, 1, I, W3), (5, 3, RootOfUnity(5, 12), RootOfUnity(3, 8)), (19, 1, MINUS_ONE, I)]
@@ -629,13 +649,15 @@ class TestLiBatch:
     def test_accounting(self, monkeypatch):
         # hits + misses = eval_li calls, one call per term; every miss makes
         # one head tail_sum call; a conjugate served from the memo is a hit.
-        li_calls, heads = [], []
+        # tail_sum computes each distinct key, head or ladder rung, once.
+        li_calls, tail_calls, heads = [], [], []
 
         def counted_li(*args):
             li_calls.append(args)
             return eval_li(*args)
 
         def counted_tail_sum(s, x, n, order=8):
+            tail_calls.append((s, x, n, order))
             if order == 8:
                 heads.append((s, x, n))
             return tail_sum(s, x, n, order)
@@ -652,6 +674,8 @@ class TestLiBatch:
         info = eval_li.cache_info()
         assert info.hits + info.misses == len(li_calls) == terms
         assert info.misses == len(heads) and info.hits > 0
+        assert {order for *_, order in tail_calls} == {8, 16}
+        assert tail_sum.cache_info().misses == len(set(tail_calls)) < len(tail_calls)
 
         eval_li.cache_clear()
         eval_li(3, 2, I, W3)
