@@ -62,19 +62,19 @@ Summation machinery, bottom up:
   color groups, Li(alpha*beta, conj alpha) and Li(beta, alpha);
   eval_decomposition lets the memo see each group's shapes, and a miss
   evaluates its key with every uncached shape of its group in one
-  _li_batch, keeping the others' values until their own calls.  A key
-  whose conjugate key is stored is served the stored value's exact
-  conjugate, unless that value has a zero part.  eval_li.cache_clear()
-  empties all of them, the values computed ahead included (only the
-  Euler-Maclaurin coefficients stay), and eval_li.cache_info() counts
-  eval_li's own calls: a miss is a call whose value was computed, alone or
-  ahead, and made one head tail_sum call; a hit is served from the memo or
-  by conjugation.  hurwitz_tail stays uncached.  Memory grows with the
+  _li_batch and stores every value the batch computes.  A key whose
+  conjugate key is stored is served the stored value's exact conjugate,
+  unless that value has a zero part.  eval_li.cache_clear() empties all
+  of them (only the Euler-Maclaurin coefficients stay).
+  eval_li.cache_info() counts values, not calls: its misses are the Li
+  values computed, one head tail_sum call each, and its hits the eval_li
+  calls that returned a value, beyond them.  hurwitz_tail stays uncached.  Memory grows with the
   distinct inputs: per distinct key, order floats for a row, n0 for a
-  power table, n for a root-power table, one entry per tail_sum or eval_li
-  call, and 1 float and 2 small integers per j-series term of a schedule.
-  One pass of the benchmark's eval workload holds about 1.3 MB of schedule
-  arrays (1246 schedules, 126k terms) and 0.2 MB of root powers.
+  power table, n for a root-power table, one entry per tail_sum call or
+  Li value, and 1 float and 2 small integers per j-series term of a
+  schedule.  One pass of the benchmark's eval workload holds about 1.3 MB
+  of schedule arrays (1246 schedules, 126k terms) and 0.2 MB of root
+  powers.
   tail_sum, eval_li, eval_mt_direct and oracle_rows reject roots of order
   above MAX_ROOT_ORDER = 2**16 before building anything sized by the
   order.
@@ -202,9 +202,6 @@ MAX_ORACLE_CUTOFF = 2**20
 # oracle_rows: their root-power tables, Hurwitz rows and residue loops all
 # have one entry per residue class mod the order.
 MAX_ROOT_ORDER = 2**16
-
-# Largest number of (alpha, beta) pairs color_pairs builds for a grid.
-MAX_COLOR_PAIRS = 2**16
 
 
 def _check_root_orders(caller: str, **roots: RootOfUnity) -> None:
@@ -524,7 +521,15 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
                 omega = t + sigma + j
                 lam_cap = float(cj) * nf ** (1 - omega)  # c^j * bound scale, kept paired
                 if lam_cap == 0.0:
-                    break  # rest is below the subnormal floor
+                    # Stops without a majorant, so no bound covers the
+                    # rest, and the rest need not be below the subnormal
+                    # floor: nf**(1-omega) underflows on its own.  At the
+                    # shortest cap (n0 = 2*ord x + 1) the dropped majorant
+                    # reaches about 1e-22.6 (s = 2, ord x = 2**16) and the
+                    # term ratio 1.05 (s = 120, ord x = 12).  At the default
+                    # head only weights s + t of about 140 and up stop here,
+                    # with majorants of about 1e-298 and below.
+                    break
                 major = apref * float(binom) * lam_cap / (omega - 1)
                 ratio = (sigma + j) / (j + 1) * c_n0
                 if ratio < 0.5 and major / (1.0 - ratio) < 1e-18:
@@ -639,14 +644,17 @@ class _LiMemo:
 
     A miss runs one _li_batch for its key and its siblings: the other
     shapes (s', t') that the running eval_decomposition holds for the same
-    colors (x, y) (siblings, set by it) and that are not known yet.  A
-    sibling's value waits in ahead until its own call, which counts as the
-    miss it would have been alone, so every miss makes one head tail_sum
-    call, inside an eval_li span.
+    colors (x, y) (siblings, set by it) and that are not known yet.  Every
+    value the batch computes is stored, and computed counts them: one head
+    tail_sum call each, inside the eval_li span of the miss.  calls counts
+    the calls that returned a value.  info() reads computed as the misses
+    and the other calls as the hits, so hits + misses = calls once every
+    sibling has been asked for, as eval_decomposition asks for all its
+    terms before it combines them.  A call that raises counts as neither.
 
-    A key whose conjugate (s, t, conj x, conj y, n0) is stored is served,
-    as a hit, as the conjugate of that value with its bound, when both of
-    the value's parts are nonzero.  That is what evaluating the key gives:
+    A key whose conjugate (s, t, conj x, conj y, n0) is stored is served
+    as the conjugate of that value with its bound, when both of the
+    value's parts are nonzero.  That is what evaluating the key gives:
     root_value makes the phases of conjugate roots exactly conjugate, so
     every product and sum of the head, the ladder rungs and the tail has
     the same real part and the negated imaginary part, and np.hypot and
@@ -664,11 +672,10 @@ class _LiMemo:
 
     def clear(self) -> None:
         self.values: dict[tuple, ValueWithError] = {}
-        self.ahead: dict[tuple, ValueWithError] = {}
-        self.hits = self.misses = 0
+        self.calls = self.computed = 0
 
     def info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, None, len(self.values) + len(self.ahead))
+        return _CacheInfo(self.calls - self.computed, self.computed, None, len(self.values))
 
     def _mirror(self, s: int, t: int, xc: RootOfUnity, yc: RootOfUnity, n0: int) -> ValueWithError | None:
         """The conjugate of the stored value of (s, t, xc, yc, n0), if it may serve."""
@@ -680,39 +687,30 @@ class _LiMemo:
     def get(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> ValueWithError:
         key = (s, t, x, y, n0)
         v = self.values.get(key)
-        if v is not None:
-            self.hits += 1
-            return v
-        v = self.ahead.pop(key, None)
-        if v is not None:
-            self.misses += 1
-        else:
+        if v is None:
             xc, yc = x.conjugate(), y.conjugate()
             v = self._mirror(s, t, xc, yc, n0)
-            if v is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
+            if v is None:
                 v = self._evaluate(s, t, x, y, xc, yc, n0)
-        self.values[key] = v
+            self.values[key] = v
+        self.calls += 1
         return v
 
     def _evaluate(
         self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, xc: RootOfUnity, yc: RootOfUnity, n0: int
     ) -> ValueWithError:
-        """The value of (s, t, x, y, n0); its siblings' values go to ahead."""
+        """The value of (s, t, x, y, n0), stored with its siblings' values."""
         shapes = [(s, t)] + [
             (si, ti)
             for si, ti in self.siblings.get((x, y), ())
             if (si, ti) != (s, t)
             and (si, ti, x, y, n0) not in self.values
-            and (si, ti, x, y, n0) not in self.ahead
             and self._mirror(si, ti, xc, yc, n0) is None
         ]
-        (value, bound), *rest = _li_batch(shapes, x, y, n0)
-        for (si, ti), (sibling, sibling_bound) in zip(shapes[1:], rest):
-            self.ahead[si, ti, x, y, n0] = ValueWithError(sibling, sibling_bound)
-        return ValueWithError(value, bound)
+        for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
+            self.values[si, ti, x, y, n0] = ValueWithError(value, bound)
+        self.computed += len(shapes)
+        return self.values[s, t, x, y, n0]
 
 
 _li_memo = _LiMemo()
@@ -1105,20 +1103,21 @@ def eval_mt_direct(
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:
     """Evaluate a decomposition term by term, combining in its term order.
 
-    One eval_li call per term.  While they run, eval_li's memo holds the
-    shapes (s, t) of each color pair (x, y) of d, so the first miss of a
-    color group computes every uncached term of the group in one batch.
+    One eval_li call per term, all made before any term is combined.
+    While they run, and only then, eval_li's memo holds the shapes (s, t)
+    of each color pair (x, y) of d, so the first miss of a color group
+    computes every uncached term of the group in one batch, and every
+    value the batch computes is asked for even when combine then raises.
     """
     siblings: dict[tuple[RootOfUnity, RootOfUnity], dict[tuple[int, int], None]] = {}
     for term in d.terms:
         siblings.setdefault((term.x, term.y), {})[term.s, term.t] = None
     _li_memo.siblings = siblings
     try:
-        return ValueWithError.combine(
-            (term.coefficient, eval_li(term.s, term.t, term.x, term.y, cfg)) for term in d.terms
-        )
+        values = [eval_li(term.s, term.t, term.x, term.y, cfg) for term in d.terms]
     finally:
         _li_memo.siblings = {}
+    return ValueWithError.combine((term.coefficient, v) for term, v in zip(d.terms, values))
 
 
 def zeta_const(s: int) -> ValueWithError:

@@ -26,7 +26,6 @@ from .algebra import MINUS_ONE, ONE, RootOfUnity
 from .decompose import EulerTerm, LiTerm, MTIndex, decompose, r_decomposition
 from .evaluate import (
     DEFAULT_CONFIG,
-    MAX_COLOR_PAIRS,
     EvalConfig,
     ValueWithError,
     eval_decomposition,
@@ -204,6 +203,9 @@ def verify_fixtures(path: str | None = None) -> list[Report]:
 # grid's 4068 (weight <= 8, orders 1-4): its reports, and the indices
 # enumerate_indices builds up front, grow with the count.
 MAX_GRID_CASES = 2**16
+
+# Largest number of (alpha, beta) pairs color_pairs builds for a grid.
+MAX_COLOR_PAIRS = 2**16
 
 
 def enumerate_indices(max_weight: int) -> list[MTIndex]:
@@ -540,7 +542,8 @@ def load_relations(path: str | None = None) -> list[RelationSpec]:
 
 def _parse_data(name: str, path: str | None, parse) -> list:
     """parse applied to each non-blank line of a data file (path None: the packaged
-    name), '#' comments cut; an error gets the line's 1-based number in front."""
+    name), '#' comments cut; an error gets the line's 1-based number in front.
+    A file with no entry is a ValueError naming it: a check of nothing passes."""
     source = pkg_files("tornheim.data").joinpath(name) if path is None else Path(path)
     out = []
     for number, raw in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
@@ -551,6 +554,8 @@ def _parse_data(name: str, path: str | None, parse) -> list:
             except ValueError as exc:
                 exc.args = (f"line {number}: {exc}",)
                 raise
+    if not out:
+        raise ValueError(f"{name if path is None else path}: no entries, only blank or comment lines")
     return out
 
 

@@ -172,6 +172,9 @@ class TestBinomial:
         assert binomial(200, 100) == math.comb(200, 100)
 
     def test_rejects_out_of_domain(self):
+        for n, k in [(3.0, 1), (3, 1.0), (Fraction(3), 1)]:
+            with pytest.raises(TypeError, match="must be integers"):
+                binomial(n, k)
         with pytest.raises(ValueError):
             binomial(3, -1)
         with pytest.raises(ValueError):

@@ -10,11 +10,13 @@ from tornheim import (
     EvalConfig,
     MTIndex,
     RootOfUnity,
+    ValueWithError,
     decompose,
     eval_decomposition,
     eval_mt_direct,
     term_from_record,
 )
+from tornheim import verify
 from tornheim.cli import _format_value, run
 
 
@@ -35,16 +37,24 @@ def test_decompose_pretty(capsys):
     assert out == "ζ(3̄,2̄) + ζ(4̄,1̄) + ζ(4,1̄)"
 
 
-def test_decompose_json_schema(capsys):
-    assert run(["decompose", "--p", "2", "--q", "1", "--r", "2", "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data == {
-        "terms": [
-            {"coeff": 1, "s": 3, "t": 2, "x": "1/2", "y": "1/2"},
-            {"coeff": 1, "s": 4, "t": 1, "x": "1/2", "y": "1/2"},
-            {"coeff": 1, "s": 4, "t": 1, "x": "0/1", "y": "1/2"},
-        ]
-    }
+@pytest.mark.parametrize(
+    "notation, terms",
+    [
+        (
+            "li",
+            [
+                {"coeff": 1, "s": 3, "t": 2, "x": "1/2", "y": "1/2"},
+                {"coeff": 1, "s": 4, "t": 1, "x": "1/2", "y": "1/2"},
+                {"coeff": 1, "s": 4, "t": 1, "x": "0/1", "y": "1/2"},
+            ],
+        ),
+        ("bar", [{"coeff": 1, "s": -3, "t": -2}, {"coeff": 1, "s": -4, "t": -1}, {"coeff": 1, "s": 4, "t": -1}]),
+    ],
+    ids=["li", "bar"],
+)
+def test_decompose_json_schema(notation, terms, capsys):
+    assert run(["decompose", "--p", "2", "--q", "1", "--r", "2", "--notation", notation, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"terms": terms}
 
 
 def test_json_roundtrip_matches_eval_bit_for_bit(capsys):
@@ -267,6 +277,43 @@ def test_verify_refuses_a_grid_weight_before_any_check(weight, constraint, capsy
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cross_check_grid: ")
     assert constraint in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("orders, message", [("1,x", "bad orders list '1,x'"), ("0", "orders must be positive integers")])
+def test_verify_refuses_a_bad_orders_list(orders, message, capsys):
+    assert run(["verify", "--orders", orders]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --orders: {message}" in err
+
+
+def test_verify_prints_each_failing_grid_case(monkeypatch, capsys):
+    # The decomposition side moved by 1, beyond every bound (the widest,
+    # MT(0,1,2) at cutoff 2000, is 5e-3): every grid case fails and gets
+    # its own line.
+    def shifted(d, cfg):
+        v = eval_decomposition(d, cfg)
+        return ValueWithError(v.value + 1.0, v.error_bound)
+
+    monkeypatch.setattr(verify, "eval_decomposition", shifted)
+    assert run(["verify", "--grid-weight", "3", "--orders", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "grid (weight <= 3, orders [1]): 0/3 pass" in out
+    fails = [line for line in out.splitlines() if line.startswith("fail: MT(")]
+    assert [line.split("  ")[0] for line in fails] == [f"fail: MT({t};1,1)" for t in ("0,1,2", "1,0,2", "1,1,1")]
+    assert all("  |diff| = 1" in line and " > bound " in line for line in fails)
+    assert out.rstrip().endswith("verify: FAILURES above")
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n\n   # another\n"])
+@pytest.mark.parametrize("command, option", [("relation", "--file"), ("verify", "--fixtures")])
+def test_a_data_file_with_no_entries_exits_2(command, option, text, tmp_path, capsys):
+    # It used to pass vacuously: an empty table, or "fixtures: 0/0 pass".
+    path = tmp_path / "empty.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run([command, option, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: no entries")
+    assert "Traceback" not in err
 
 
 def test_verify_json_of_a_failing_fixture_is_strict_json(tmp_path, capsys):

@@ -152,6 +152,11 @@ class TestLevel2:
         assert EulerTerm.from_li(LiTerm(1, 3, 2, ONE, ONE)) == EulerTerm(1, 3, 2, False, False)
         assert EulerTerm.from_li(LiTerm(2, 3, 2, MINUS_ONE, ONE)) == EulerTerm(2, 3, 2, True, False)
 
+    @pytest.mark.parametrize("s, t", [(1, 1), (0, 2), (2, 0)])
+    def test_rejects_a_divergent_shape(self, s, t):
+        with pytest.raises(ValueError, match="need s >= 2 and t >= 1"):
+            EulerTerm(1, s, t, True, False)
+
     def test_rejects_higher_order(self):
         bad = decompose(MTIndex(1, 1, 2), I, W3)
         with pytest.raises(ValueError, match="order"):

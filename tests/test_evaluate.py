@@ -420,6 +420,16 @@ class TestLiMemos:
         info = eval_li.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
+    def test_a_call_that_raises_counts_as_neither(self, monkeypatch):
+        def failing(shapes, x, y, n0):
+            raise ValueError("batch failed")
+
+        monkeypatch.setattr(evaluate, "_li_batch", failing)
+        eval_li.cache_clear()
+        with pytest.raises(ValueError, match="batch failed"):
+            eval_li(2, 1, I, W3)
+        assert eval_li.cache_info() == (0, 0, None, 0)
+
     def test_cache_is_keyed_on_the_head_length(self):
         # eval_li reads only max_inner_terms, through n0, so configs that
         # differ elsewhere (or in a cap above n0) share entries.
@@ -625,7 +635,7 @@ class TestLiBatch:
     def test_decomposition_equals_fresh_single_evaluations(self):
         # Every index of weight <= 20, each at one seeded color pair of
         # orders 1-24 whose product also has order <= 24, on one memo: the
-        # batches, the values computed ahead and the conjugates it serves
+        # batches, the sibling values they store and the conjugates it serves
         # must all equal each term evaluated alone.
         rng = random.Random(20261018)
         orders = [(a, b) for a in range(1, 25) for b in range(1, 25) if math.lcm(a, b) <= 24]
@@ -683,7 +693,7 @@ class TestLiBatch:
         assert eval_li.cache_info()[:2] == (1, 1) and len(heads) == info.misses + 1
         assert v == ValueWithError(eval_li(3, 2, I, W3).value.conjugate(), eval_li(3, 2, I, W3).error_bound)
 
-    def test_cache_clear_empties_the_values_computed_ahead(self, monkeypatch):
+    def test_cache_clear_empties_the_values_a_batch_stored(self, monkeypatch):
         heads = []
 
         def counted_tail_sum(s, x, n, order=8):
@@ -694,13 +704,42 @@ class TestLiBatch:
         monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
         monkeypatch.setattr(evaluate._li_memo, "siblings", {(I, W3): dict.fromkeys([(2, 1), (3, 2), (5, 1)])})
         eval_li.cache_clear()
-        eval_li(3, 2, I, W3)
-        assert (eval_li.cache_info().misses, eval_li.cache_info().currsize, heads) == (1, 3, [3, 2, 5])
+        for s, t in [(3, 2), (2, 1), (5, 1)]:
+            eval_li(s, t, I, W3)
+        info = eval_li.cache_info()
+        assert (info.misses, info.hits, info.currsize, heads) == (3, 0, 3, [3, 2, 5])
         eval_li.cache_clear()
         assert eval_li.cache_info() == (0, 0, None, 0)
         eval_li(5, 1, I, W3)  # computed again, with its siblings
-        assert (eval_li.cache_info().misses, heads[3:]) == (1, [5, 2, 3])
+        assert (eval_li.cache_info().misses, heads[3:]) == (3, [5, 2, 3])
         eval_li.cache_clear()
+
+    def test_an_aborted_decomposition_keeps_the_counts(self, monkeypatch):
+        # combine refuses the coefficient C(1040, 520), beyond the double
+        # range, only after every term has been evaluated, so each value a
+        # batch computed was asked for and each made one head tail_sum call.
+        li_calls, heads = [], []
+
+        def counted_li(*args):
+            li_calls.append(args)
+            return eval_li(*args)
+
+        def counted_tail_sum(s, x, n, order=8):
+            if order == 8:
+                heads.append(s)
+            return tail_sum(s, x, n, order)
+
+        monkeypatch.setattr(evaluate, "eval_li", counted_li)
+        monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
+        eval_li.cache_clear()
+        d = decompose(MTIndex(520, 520, 1), MINUS_ONE, ONE)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            eval_decomposition(d)
+        info = eval_li.cache_info()
+        eval_li.cache_clear()
+        assert info.hits + info.misses == len(li_calls) == len(d.terms)
+        assert info.misses == len(heads) == info.currsize
+        assert evaluate._li_memo.siblings == {}
 
 
 class TestOracle:
@@ -1281,6 +1320,15 @@ class TestOracleRowClasses:
             oracle_rows(MTIndex(2, 1, 2), RootOfUnity(1, 4), EvalConfig(oracle_cutoff=3000))
         assert executors == [1]
         assert threading.active_count() == threads
+
+    def test_cpu_count_without_affinity_is_the_os_count(self, monkeypatch):
+        # Where os.sched_getaffinity is missing (macOS, Windows), the count
+        # is os.cpu_count(), and 1 when that is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert evaluate._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert evaluate._cpu_count() == 1
 
 
 class TestEvalDecomposition:

@@ -25,8 +25,7 @@ from tornheim import (
     verify_r212,
 )
 from tornheim import verify
-from tornheim.evaluate import MAX_COLOR_PAIRS
-from tornheim.verify import MAX_GRID_CASES, format_report_table, grid_cases, parse_fixture_line, reports_to_json
+from tornheim.verify import MAX_COLOR_PAIRS, MAX_GRID_CASES, format_report_table, grid_cases, parse_fixture_line, reports_to_json
 
 FAST = EvalConfig(oracle_cutoff=1200)
 
@@ -273,6 +272,19 @@ class TestRelations:
         with pytest.raises(RelationSyntaxError) as err:
             parse(line)
         assert "position" in str(err.value)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "line, message, position",
+        [
+            ("1*zeta(3) == Li(2,1;1,1) & 1", "unexpected character '&'", 25),
+            ("1*zeta(3) == Li(2,x;1,1)", "expected integer, found 'x'", 18),
+            ("1*zeta(3) == Li(2,", "expected integer, found 'end of line'", 18),
+        ],
+    )
+    def test_token_errors_name_what_they_found(self, line, message, position):
+        with pytest.raises(RelationSyntaxError, match=f"^{message} ") as err:
+            parse_relation(line)
         assert err.value.position == position
 
     def test_file_errors_name_the_line(self, tmp_path):
