@@ -30,13 +30,25 @@ substitution M = m+n gives directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import MINUS_ONE, ONE, RootOfUnity, binomial, root_inv, root_mul
 
 
+# Why MTIndex refuses p+r <= 1, q+r <= 1 or p+q+r <= 2.  Some colored series
+# outside these conditions converge (MT(1,1,0; -1, i) = |log(1-i)|^2), but
+# neither the Li layer (s = 1) nor the oracle's tail bound reaches them yet.
+_UNCOLORED = "the uncolored series' absolute-convergence condition, applied whatever the colors"
+
+
 @dataclass(frozen=True)
 class MTIndex:
-    """Exponent triple (p,q,r) of a Tornheim series, convergence-checked."""
+    """Exponent triple (p,q,r) of a Tornheim series, convergence-checked.
+
+    The conditions p+r > 1, q+r > 1 and p+q+r > 2 are those under which the
+    uncolored series converges absolutely.  They are applied whatever the
+    colors, and each refusal says so.
+    """
 
     p: int
     q: int
@@ -50,11 +62,11 @@ class MTIndex:
         if self.p + self.q <= 0:
             raise ValueError("p+q>0 required")
         if self.p + self.r <= 1:
-            raise ValueError("p+r>1 required")
+            raise ValueError(f"p+r>1 required: {_UNCOLORED}")
         if self.q + self.r <= 1:
-            raise ValueError("q+r>1 required")
+            raise ValueError(f"q+r>1 required: {_UNCOLORED}")
         if self.p + self.q + self.r <= 2:
-            raise ValueError("p+q+r>2 required")
+            raise ValueError(f"p+q+r>2 required: {_UNCOLORED}")
 
     @property
     def weight(self) -> int:
@@ -94,13 +106,22 @@ def partial_fraction(p: int, q: int) -> list[PartialFractionTerm]:
     valid for integers p, q >= 0 with p+q > 0 and reals x, y with
     x+y != 0.  C is the falling-factorial binomial, and terms whose
     coefficient vanishes are dropped: p+q terms when p, q >= 1, and the
-    single term 1/y^q (p = 0) or 1/x^p (q = 0) otherwise.
+    single term 1/y^q (p = 0) or 1/x^p (q = 0) otherwise.  Each call
+    returns a fresh list of the terms _partial_fraction keeps.
     """
+    return list(_partial_fraction(p, q))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _partial_fraction(p: int, q: int) -> tuple[PartialFractionTerm, ...]:
+    """partial_fraction's terms, computed once per (p, q): the memo grows
+    by one entry of at most p+q terms per distinct (p, q).  It is typed, so
+    2.0 for 2 is refused, not served."""
     if not isinstance(p, int) or not isinstance(q, int) or p < 0 or q < 0 or p + q == 0:
         raise ValueError("partial_fraction requires integers p, q >= 0 with p+q > 0")
     terms = [PartialFractionTerm(binomial(q + i - 1, i), p - i, 0, q + i) for i in range(p)]
     terms += [PartialFractionTerm(binomial(p + j - 1, j), 0, q - j, p + j) for j in range(q)]
-    return [t for t in terms if t.coefficient]
+    return tuple(t for t in terms if t.coefficient)
 
 
 @dataclass(frozen=True)
@@ -186,32 +207,38 @@ class Decomposition:
         return [t.record() for t in self.terms]
 
 
-def expansion_terms(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> list[LiTerm]:
-    """Unmerged decomposition terms in display order: partial_fraction(p, q)
-    term by term, c/(x^e (x+y)^f) as c*Li[r+f, e](alpha*beta, 1/alpha) and
-    c/(y^e (x+y)^f) as c*Li[r+f, e](beta, alpha).
-    """
+def _expansion(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> list[tuple[int, tuple]]:
+    """(coefficient, LiTerm key) per partial_fraction(p, q) term, in its
+    order: c/(x^e (x+y)^f) as c*Li[r+f, e](alpha*beta, 1/alpha) and
+    c/(y^e (x+y)^f) as c*Li[r+f, e](beta, alpha)."""
     ab = root_mul(alpha, beta)
     ai = root_inv(alpha)
     return [
-        LiTerm(pf.coefficient, index.r + pf.sum_exp, pf.x_exp, ab, ai)
+        (pf.coefficient, (index.r + pf.sum_exp, pf.x_exp, ab, ai))
         if pf.x_exp
-        else LiTerm(pf.coefficient, index.r + pf.sum_exp, pf.y_exp, beta, alpha)
-        for pf in partial_fraction(index.p, index.q)
+        else (pf.coefficient, (index.r + pf.sum_exp, pf.y_exp, beta, alpha))
+        for pf in _partial_fraction(index.p, index.q)
     ]
+
+
+def expansion_terms(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> list[LiTerm]:
+    """Unmerged decomposition terms in display order (_expansion)."""
+    return [LiTerm(c, *key) for c, key in _expansion(index, alpha, beta)]
 
 
 def decompose(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> Decomposition:
     """Exact rewrite of the colored double series into Li terms.
 
     Terms with identical (s, t, x, y) are merged by summing coefficients;
-    the first occurrence fixes the display position.
+    the first occurrence fixes the display position.  Each LiTerm is built
+    once, after the merge, and the partial fractions of (p, q) come from
+    _partial_fraction's memo, so a call computes no binomial that an
+    earlier call with the same (p, q) computed.
     """
     merged: dict[tuple, int] = {}
-    for term in expansion_terms(index, alpha, beta):
-        k = term.key()
-        merged[k] = merged.get(k, 0) + term.coefficient
-    terms = tuple(LiTerm(c, s, t, x, y) for (s, t, x, y), c in merged.items())
+    for c, key in _expansion(index, alpha, beta):
+        merged[key] = merged.get(key, 0) + c
+    terms = tuple(LiTerm(c, *key) for key, c in merged.items())
     return Decomposition(index, alpha, beta, terms)
 
 

@@ -60,8 +60,8 @@ Summation machinery, bottom up:
   eval_li's own memo (_LiMemo) is keyed on (s, t, x, y, n0), n0 being the
   only config field a value reads.  A decomposition's terms come in two
   color groups, Li(alpha*beta, conj alpha) and Li(beta, alpha);
-  eval_decomposition lets the memo see each group's shapes, and a miss
-  evaluates its key with every uncached shape of its group in one
+  eval_decomposition lends the memo its term tuple, and a miss evaluates
+  its key with every uncached shape of its group, in term order, in one
   _li_batch and stores every value the batch computes.  A key whose
   conjugate key is stored is served the stored value's exact conjugate,
   unless that value has a zero part.  eval_li.cache_clear() empties all
@@ -83,9 +83,11 @@ Summation machinery, bottom up:
   truncated double sum of the defining series, with a color-independent
   integral-comparison tail bound.  The diagonal sums over n, with the k^-r
   table and the bound, are one OracleRows (oracle_rows): they do not
-  depend on beta, so a sweep builds them once per (index, alpha) and each
-  call only weights them by beta^k, per residue class of k mod ord beta
-  (eval_mt_direct).  alpha^n depends only on n mod ord alpha, so for
+  depend on beta, so a sweep builds them once per (index, alpha).  The
+  k^-r-weighted rows summed per residue class c = k mod ord beta, the class
+  sums S_c, depend on beta only through its order, so the rows keep them
+  per ord beta, and each call only combines them with its own phases
+  beta^c (eval_mt_direct).  alpha^n depends only on n mod ord alpha, so for
   ord alpha <= _MAX_CLASS_ORDER = 16 the rows are real combinations of the
   class rows C_c(k) = sum_{n = c mod ord alpha} (k-n)^-p n^-q.  The m^-p
   of each residue class of m form a sliding window of their own, so one
@@ -94,7 +96,12 @@ Summation machinery, bottom up:
   same order contracts nothing; to a root of another order it is a fresh
   oracle_rows.  A higher order contracts the plain window against
   phase-weighted columns instead.  No index arrays are built and scratch
-  memory is O(cutoff), at most about 40*cutoff doubles.
+  memory is O(cutoff), at most about 40*cutoff doubles.  What the rows
+  keep for beta is O(cutoff) per order of beta too: per order n, the class
+  sums (at most 2*min(n, cutoff+1) doubles) on each rows object, and the
+  class index k mod n (cutoff-1 integers) and the order-n phases read so
+  far (at most min(n, count read) complex numbers) shared by a family of
+  same-order recolors.
   The oracle builds its own phases root^j from root_value and reads none
   of the Li layer's memos.  After the class rows it multiplies and adds
   only reals, so its values, like the Li layer's, have the same bits at
@@ -139,7 +146,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum
@@ -148,7 +155,7 @@ from numbers import Rational
 import numpy as np
 
 from .algebra import ONE, RootOfUnity, root_mul, root_value
-from .decompose import Decomposition, MTIndex
+from .decompose import Decomposition, LiTerm, MTIndex
 
 _EPS = 2.220446049250313e-16
 _TINY = math.ulp(0.0)  # the smallest positive double, 5e-324
@@ -307,16 +314,17 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
     """H(s, w) = sum_{j>=0} (j+w)^(-s) with its truncation bound.
 
     The terms below the Euler-Maclaurin start a_min are summed directly and
-    the expansion of the given order, 8 or 16 (any other is a ValueError),
-    runs from there.  The bound carries one smallest subnormal, 5e-324, so
-    it stays above the error where H underflows to 0.0.  A direct term
+    the expansion of the given order, the int 8 or 16 (any other, 8.0
+    included, is a ValueError), runs from there.  The bound carries one
+    smallest subnormal, 5e-324, so it stays above the error where H
+    underflows to 0.0.  A direct term
     beyond the double range (w far below 1 at large s) is a ValueError.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("hurwitz_tail requires integer s >= 2")
     if not (w > 0.0):
         raise ValueError("hurwitz_tail requires w > 0")
-    if order not in (_HEAD_ORDER, _LADDER_ORDER):
+    if not isinstance(order, int) or order not in (_HEAD_ORDER, _LADDER_ORDER):
         raise ValueError(f"Euler-Maclaurin order {order!r} is not {_HEAD_ORDER} or {_LADDER_ORDER}")
     betas, bhat, a_min = _em_params(s, order // 2)
     extra = int(max(0.0, math.ceil(a_min - w)))
@@ -334,12 +342,13 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
     return head + tail, bound + 4.0 * _EPS * (head + abs(tail)) + _TINY
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _hurwitz_row(s: int, nn: int, n: int, order: int) -> tuple[tuple[float, ...], float, float]:
     """H(s, (n+c)/nn) for c = 1..nn, with their summed bounds and summed |H|.
 
     Every root of order nn shares this row; only the phases that weight it
-    in tail_sum depend on the root's exponent.
+    in tail_sum depend on the root's exponent.  The memo is typed, so an
+    order of 8.0 reaches hurwitz_tail's refusal instead of the row of 8.
     """
     row = []
     bound = 0.0
@@ -643,8 +652,9 @@ class _LiMemo:
     the one part of the config a value reads.
 
     A miss runs one _li_batch for its key and its siblings: the other
-    shapes (s', t') that the running eval_decomposition holds for the same
-    colors (x, y) (siblings, set by it) and that are not known yet.  Every
+    shapes (s', t') of the running eval_decomposition's terms (siblings,
+    the decomposition's own term tuple, set by it) with the same colors
+    (x, y) that are not known yet, taken in term order.  Every
     value the batch computes is stored, and computed counts them: one head
     tail_sum call each, inside the eval_li span of the miss.  calls counts
     the calls that returned a value.  info() reads computed as the misses
@@ -667,7 +677,7 @@ class _LiMemo:
     """
 
     def __init__(self) -> None:
-        self.siblings: dict[tuple[RootOfUnity, RootOfUnity], dict[tuple[int, int], None]] = {}
+        self.siblings: tuple[LiTerm, ...] = ()
         self.clear()
 
     def clear(self) -> None:
@@ -701,11 +711,12 @@ class _LiMemo:
     ) -> ValueWithError:
         """The value of (s, t, x, y, n0), stored with its siblings' values."""
         shapes = [(s, t)] + [
-            (si, ti)
-            for si, ti in self.siblings.get((x, y), ())
-            if (si, ti) != (s, t)
-            and (si, ti, x, y, n0) not in self.values
-            and self._mirror(si, ti, xc, yc, n0) is None
+            (u.s, u.t)
+            for u in self.siblings
+            if (u.x, u.y) == (x, y)
+            and (u.s, u.t) != (s, t)
+            and (u.s, u.t, x, y, n0) not in self.values
+            and self._mirror(u.s, u.t, xc, yc, n0) is None
         ]
         for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
             self.values[si, ti, x, y, n0] = ValueWithError(value, bound)
@@ -955,6 +966,15 @@ class OracleRows:
     n^-q instead.  kf is the k^-r table (k = 2..cutoff); bound is the tail
     bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r, the
     order's own mod.
+
+    For eval_mt_direct the rows also keep, per order n of beta, what does
+    not depend on beta's exponent, each computed the first time it is
+    read: in sums, these rows' class sums S_c (class_sums); in family, the
+    class index k mod n and the order-n phases root_value(RootOfUnity(j,
+    n)) for the j read (phases).  family is shared by every same-order
+    recolor, which differs only in re and im; sums is its own.  Both stay
+    O(cutoff) per order, and neither is a memo of the Li layer.  Threads
+    sharing the rows may each compute an entry once, with the same bits.
     """
 
     index: MTIndex
@@ -966,6 +986,41 @@ class OracleRows:
     kf: np.ndarray
     bound: float
     classes: np.ndarray | None
+    family: dict = field(default_factory=dict, repr=False)
+    sums: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _order(self, n: int) -> tuple[np.ndarray, dict[int, complex]]:
+        """For beta of order n: the class index k mod n (k = 2..cutoff) and
+        the order-n phases read so far, root_value(RootOfUnity(j, n)) by j.
+        Kept in family, which every same-order recolor shares."""
+        got = self.family.get(n)
+        if got is None:
+            got = self.family[n] = (np.arange(2, self.cutoff + 1) % n, {})
+        return got
+
+    def class_sums(self, n: int) -> tuple[list[float], list[float]]:
+        """The real and imaginary S_c, c = k mod n: the k^-r-weighted re and
+        im rows summed per class in the order of k (np.bincount), at most
+        min(n, cutoff+1) each.  Computed once per (rows, n), kept in sums."""
+        got = self.sums.get(n)
+        if got is None:
+            classes, _ = self._order(n)
+            got = self.sums[n] = tuple(
+                np.bincount(classes, weights=row * self.kf).tolist() for row in (self.re, self.im)
+            )
+        return got
+
+    def phases(self, beta: RootOfUnity, count: int) -> list[complex]:
+        """beta^c for c < count: beta^c = RootOfUnity(j, n), j = c*exponent
+        mod n, whose root_value is that of beta**c.  Only the powers read
+        are built, each once per same-order family (_order)."""
+        n = beta.order
+        _, table = self._order(n)
+        exps = [beta.exponent * c % n for c in range(count)]
+        for j in exps:
+            if j not in table:
+                table[j] = root_value(RootOfUnity(j, n))
+        return [table[j] for j in exps]
 
     def recolor(self, alpha: RootOfUnity) -> OracleRows:
         """The rows of alpha.  A root of the same order recombines the
@@ -1036,8 +1091,12 @@ def eval_mt_direct(
 
     A sweep over beta may pass the rows of its (index, alpha) to every
     call: the value and bound are bit for bit those of the call without
-    them.  Rows built for another index, alpha or cutoff are a ValueError
-    naming the field.
+    them.  The rows then compute the class sums once per order of beta
+    (OracleRows.class_sums) and each power beta^c once per same-order
+    family of rows (OracleRows.phases), so a call whose order the rows have
+    seen adds only its own combination, and what they keep stays
+    O(cutoff) per order.  Rows built for another index, alpha or cutoff
+    are a ValueError naming the field.
 
     The bound, the rows' own, is the color-independent absolute tail plus
     eps*(cutoff+64)*mass = 2u*(cutoff+64)*mass, mass = sum_k (modulus row
@@ -1091,10 +1150,9 @@ def eval_mt_direct(
         got = getattr(rows, field)
         if got != want:
             raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
-    classes = np.arange(2, cut + 1) % beta.order
-    sr, si = (np.bincount(classes, weights=row * rows.kf).tolist() for row in (rows.re, rows.im))
-    # beta^c built here: the oracle reads no Li-layer memo.
-    phases = [root_value(beta**c) for c in range(len(sr))]
+    sr, si = rows.class_sums(beta.order)
+    # beta^c built by the rows: the oracle reads no Li-layer memo.
+    phases = rows.phases(beta, len(sr))
     re = fsum([b.real * x for b, x in zip(phases, sr)] + [-b.imag * y for b, y in zip(phases, si)])
     im = fsum([b.real * y for b, y in zip(phases, si)] + [b.imag * x for b, x in zip(phases, sr)])
     return ValueWithError(complex(re, im), rows.bound)
@@ -1104,19 +1162,16 @@ def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> Va
     """Evaluate a decomposition term by term, combining in its term order.
 
     One eval_li call per term, all made before any term is combined.
-    While they run, and only then, eval_li's memo holds the shapes (s, t)
-    of each color pair (x, y) of d, so the first miss of a color group
-    computes every uncached term of the group in one batch, and every
+    While they run, and only then, eval_li's memo holds d.terms as its
+    siblings, so the first miss of a color group (x, y) computes every
+    uncached term of the group in one batch, in term order, and every
     value the batch computes is asked for even when combine then raises.
     """
-    siblings: dict[tuple[RootOfUnity, RootOfUnity], dict[tuple[int, int], None]] = {}
-    for term in d.terms:
-        siblings.setdefault((term.x, term.y), {})[term.s, term.t] = None
-    _li_memo.siblings = siblings
+    _li_memo.siblings = d.terms
     try:
         values = [eval_li(term.s, term.t, term.x, term.y, cfg) for term in d.terms]
     finally:
-        _li_memo.siblings = {}
+        _li_memo.siblings = ()
     return ValueWithError.combine((term.coefficient, v) for term, v in zip(d.terms, values))
 
 

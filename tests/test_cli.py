@@ -136,6 +136,15 @@ def test_invalid_index_exit2(capsys):
     assert "q+r>1 required" in capsys.readouterr().err
 
 
+def test_a_refused_index_names_the_uncolored_condition(capsys):
+    # MT(1,1,0; -1, i) converges, but MTIndex applies the uncolored series'
+    # absolute-convergence conditions whatever the colors, and says so.
+    assert run(["eval", "--p", "1", "--q", "1", "--r", "0", "--alpha", "1/2", "--beta", "1/4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p+r>1 required: ")
+    assert "the uncolored series' absolute-convergence condition, applied whatever the colors" in err
+
+
 def test_bar_notation_rejects_complex_colors(capsys):
     assert run(["decompose", "--p", "1", "--q", "1", "--r", "2", "--alpha", "1/4",
                 "--notation", "bar"]) == 2

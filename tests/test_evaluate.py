@@ -17,6 +17,7 @@ from tornheim import (
     MINUS_ONE,
     ONE,
     EvalConfig,
+    LiTerm,
     MTIndex,
     RootOfUnity,
     ValueWithError,
@@ -95,7 +96,7 @@ class TestHurwitz:
         majorant = np.logaddexp((1 - s) * math.log(w) - math.log(s - 1), -s * math.log(w))
         assert majorant < math.log(5e-324)
 
-    @pytest.mark.parametrize("order", [0, 1, 7, 18, 20])
+    @pytest.mark.parametrize("order", [0, 1, 7, 18, 20, 8.0, 16.0])
     def test_rejects_other_orders(self, order):
         with pytest.raises(ValueError, match=rf"order {order} "):
             hurwitz_tail(3, 2.5, order)
@@ -702,7 +703,10 @@ class TestLiBatch:
             return tail_sum(s, x, n, order)
 
         monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
-        monkeypatch.setattr(evaluate._li_memo, "siblings", {(I, W3): dict.fromkeys([(2, 1), (3, 2), (5, 1)])})
+        # The siblings are a decomposition's terms; only those of the
+        # miss's colors join its batch, in term order.
+        siblings = [LiTerm(1, 2, 1, I, W3), LiTerm(1, 4, 1, W3, I), LiTerm(1, 3, 2, I, W3), LiTerm(1, 5, 1, I, W3)]
+        monkeypatch.setattr(evaluate._li_memo, "siblings", tuple(siblings))
         eval_li.cache_clear()
         for s, t in [(3, 2), (2, 1), (5, 1)]:
             eval_li(s, t, I, W3)
@@ -739,7 +743,7 @@ class TestLiBatch:
         eval_li.cache_clear()
         assert info.hits + info.misses == len(li_calls) == len(d.terms)
         assert info.misses == len(heads) == info.currsize
-        assert evaluate._li_memo.siblings == {}
+        assert evaluate._li_memo.siblings == ()
 
 
 class TestOracle:
@@ -1085,6 +1089,38 @@ class TestBetaClassSums:
                 got = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
                 assert repr(got.value) == repr(want), (alpha, beta)
                 assert got.error_bound == rows.bound
+
+    @pytest.mark.parametrize("cut", [2, 17, 1000])
+    def test_interleaved_orders_on_one_rows_and_its_recolor(self, cut):
+        # The class sums are kept per (rows, ord beta) and the phases per
+        # same-order family: betas of interleaved orders, some of them
+        # repeated with another exponent, on one rows object and on a
+        # recolor of it must each get the reference's bits.
+        idx, cfg = MTIndex(2, 1, 1), EvalConfig(oracle_cutoff=cut)
+        betas = [RootOfUnity(k, n) for k, n in ((1, 3), (1, 4), (2, 3), (0, 1), (3, 4), (1, 2))]
+        rows = oracle_rows(idx, RootOfUnity(1, 6), cfg)
+        recolored = rows.recolor(RootOfUnity(5, 6))
+        assert recolored.family is rows.family and recolored.sums is not rows.sums
+        for r in (rows, recolored, rows):
+            for beta in betas:
+                got = eval_mt_direct(idx, r.alpha, beta, cfg, rows=r)
+                assert repr(got.value) == repr(_class_sum_reference(r, beta)), (r.alpha, beta)
+        assert sorted(rows.sums) == sorted(recolored.sums) == sorted(rows.family) == [1, 2, 3, 4]
+
+    def test_one_class_sum_pass_per_rows_and_order(self, monkeypatch):
+        # Over a weight-4 sweep each index has six rows objects (one per
+        # alpha) and betas of four orders: 24 class-sum passes of two
+        # bincounts each, not one pass per case (36 per index).
+        calls, bincount = [0], np.bincount
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        reports = cross_check_grid(4, [1, 2, 3, 4], EvalConfig(tolerance=1e-8, oracle_cutoff=100))
+        assert len(reports) == 36 * len(enumerate_indices(4))
+        assert calls[0] == 2 * 6 * 4 * len(enumerate_indices(4))
 
 
 class TestOracleRowClasses:

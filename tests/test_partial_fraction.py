@@ -1,8 +1,12 @@
 import random
+import sys
 
 import pytest
 
-from tornheim import partial_fraction
+from tornheim import MINUS_ONE, ONE, RootOfUnity, decompose, enumerate_indices, partial_fraction
+
+# The package exports the function decompose under the module's name.
+decompose_module = sys.modules["tornheim.decompose"]
 
 
 def lhs(p, q, x, y):
@@ -74,6 +78,45 @@ def test_zero_exponent_gives_one_term():
 
 
 def test_rejects_nonpositive():
+    partial_fraction(1, 1)  # the memo of (1, 1) must not serve (1.0, 1)
     for p, q in [(0, 0), (-1, 2), (2, -1), (-1, 0), (1.0, 1), (1, "2")]:
         with pytest.raises(ValueError):
             partial_fraction(p, q)
+
+
+def test_one_evaluation_per_p_and_q(monkeypatch):
+    # partial_fraction(p, q) is computed once per (p, q), whatever the r and
+    # the colors of the decompositions that read it, and decompose builds
+    # each LiTerm once, after merging.
+    binomials, built = [], []
+    binomial, post_init = decompose_module.binomial, decompose_module.LiTerm.__post_init__
+
+    def counting_binomial(n, k):
+        binomials.append((n, k))
+        return binomial(n, k)
+
+    def counting_post_init(term):
+        built.append(term)
+        post_init(term)
+
+    monkeypatch.setattr(decompose_module, "binomial", counting_binomial)
+    monkeypatch.setattr(decompose_module.LiTerm, "__post_init__", counting_post_init)
+    decompose_module._partial_fraction.cache_clear()
+    terms = 0
+    indices = enumerate_indices(7)
+    for idx in indices:
+        for alpha, beta in [(ONE, ONE), (MINUS_ONE, ONE), (RootOfUnity(1, 4), RootOfUnity(1, 3))]:
+            terms += len(decompose(idx, alpha, beta).terms)
+    pq = {(idx.p, idx.q) for idx in indices}
+    assert decompose_module._partial_fraction.cache_info().misses == len(pq)
+    assert len(binomials) == sum(p + q for p, q in pq)
+    assert len(built) == terms
+    decompose_module._partial_fraction.cache_clear()
+
+
+def test_each_call_returns_a_fresh_list():
+    first = partial_fraction(3, 2)
+    first.clear()
+    assert len(partial_fraction(3, 2)) == 5
+    assert partial_fraction(3, 2) is not partial_fraction(3, 2)
+
