@@ -35,10 +35,18 @@ from functools import lru_cache
 from .algebra import MINUS_ONE, ONE, RootOfUnity, binomial, root_inv, root_mul
 
 
-# Why MTIndex refuses p+r <= 1, q+r <= 1 or p+q+r <= 2.  Some colored series
-# outside these conditions converge (MT(1,1,0; -1, i) = |log(1-i)|^2), but
-# neither the Li layer (s = 1) nor the oracle's tail bound reaches them yet.
+# Why MTIndex refuses p+r <= 1 or q+r <= 1 (p+q+r > 2 then follows).  Some
+# colored series outside these conditions converge (MT(1,1,0; -1, i) =
+# |log(1-i)|^2), but neither the Li layer (s = 1) nor the oracle's tail bound
+# reaches them yet.
 _UNCOLORED = "the uncolored series' absolute-convergence condition, applied whatever the colors"
+
+# partial_fraction refuses p + q above this before computing any binomial.
+# Its p+q coefficients C(q+i-1, i) and C(p+j-1, j) grow like 2^(p+q): at
+# (2048, 2048) the largest has about 1230 digits and the expansion takes
+# about 2 s; at (8000, 8000) it takes about a minute, and its coefficients
+# pass Python's 4300-digit limit on converting an integer to a string.
+MAX_PARTIAL_FRACTION_TERMS = 2**12
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,9 @@ class MTIndex:
 
     The conditions p+r > 1, q+r > 1 and p+q+r > 2 are those under which the
     uncolored series converges absolutely.  They are applied whatever the
-    colors, and each refusal says so.
+    colors, and each refusal says so.  The third follows from p+q > 0 and
+    the other two: r = 0 needs p, q >= 2, r = 1 needs p, q >= 1, and r >= 2
+    adds p+q >= 1.
     """
 
     p: int
@@ -65,8 +75,6 @@ class MTIndex:
             raise ValueError(f"p+r>1 required: {_UNCOLORED}")
         if self.q + self.r <= 1:
             raise ValueError(f"q+r>1 required: {_UNCOLORED}")
-        if self.p + self.q + self.r <= 2:
-            raise ValueError(f"p+q+r>2 required: {_UNCOLORED}")
 
     @property
     def weight(self) -> int:
@@ -107,7 +115,9 @@ def partial_fraction(p: int, q: int) -> list[PartialFractionTerm]:
     x+y != 0.  C is the falling-factorial binomial, and terms whose
     coefficient vanishes are dropped: p+q terms when p, q >= 1, and the
     single term 1/y^q (p = 0) or 1/x^p (q = 0) otherwise.  Each call
-    returns a fresh list of the terms _partial_fraction keeps.
+    returns a fresh list of the terms _partial_fraction keeps.  A p+q
+    above MAX_PARTIAL_FRACTION_TERMS = 2**12 is a ValueError, raised before
+    any binomial is computed.
     """
     return list(_partial_fraction(p, q))
 
@@ -119,6 +129,11 @@ def _partial_fraction(p: int, q: int) -> tuple[PartialFractionTerm, ...]:
     2.0 for 2 is refused, not served."""
     if not isinstance(p, int) or not isinstance(q, int) or p < 0 or q < 0 or p + q == 0:
         raise ValueError("partial_fraction requires integers p, q >= 0 with p+q > 0")
+    if p + q > MAX_PARTIAL_FRACTION_TERMS:
+        raise ValueError(
+            f"partial_fraction: p+q = {p + q} is above MAX_PARTIAL_FRACTION_TERMS = 2**12;"
+            " its binomial coefficients grow like 2^(p+q)"
+        )
     terms = [PartialFractionTerm(binomial(q + i - 1, i), p - i, 0, q + i) for i in range(p)]
     terms += [PartialFractionTerm(binomial(p + j - 1, j), 0, q - j, p + j) for j in range(q)]
     return tuple(t for t in terms if t.coefficient)

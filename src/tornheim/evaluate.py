@@ -60,16 +60,18 @@ Summation machinery, bottom up:
   eval_li's own memo (_LiMemo) is keyed on (s, t, x, y, n0), n0 being the
   only config field a value reads.  A decomposition's terms come in two
   color groups, Li(alpha*beta, conj alpha) and Li(beta, alpha);
-  eval_decomposition lends the memo its term tuple, and a miss evaluates
-  its key with every uncached shape of its group, in term order, in one
-  _li_batch and stores every value the batch computes.  A key whose
-  conjugate key is stored is served the stored value's exact conjugate,
-  unless that value has a zero part.  eval_li.cache_clear() empties all
-  of them (only the Euler-Maclaurin coefficients stay).
-  eval_li.cache_info() counts values, not calls: its misses are the Li
-  values computed, one head tail_sum call each, and its hits the eval_li
-  calls that returned a value, beyond them.  hurwitz_tail stays uncached.  Memory grows with the
-  distinct inputs: per distinct key, order floats for a row, n0 for a
+  eval_decomposition passes its term tuple to each eval_li call as the
+  call's batch, and a miss evaluates its key with every uncached shape of
+  its group in that batch, in term order, in one _li_batch and stores
+  every value the batch computes.  No module-level state is set for
+  this: a call without a batch is a batch of one.  A key whose conjugate
+  key is stored is served the stored value's exact conjugate, unless that
+  value has a zero part.  eval_li.cache_clear() empties all of them (only
+  the Euler-Maclaurin coefficients stay).  eval_li.cache_info() counts
+  values, not calls: its misses are the Li values computed, one head
+  tail_sum call each, and its hits the eval_li calls that returned a
+  value, beyond them.  hurwitz_tail stays uncached.  Memory grows with
+  the distinct inputs: per distinct key, order floats for a row, n0 for a
   power table, n for a root-power table, one entry per tail_sum call or
   Li value, and 1 float and 2 small integers per j-series term of a
   schedule.  One pass of the benchmark's eval workload holds about 1.3 MB
@@ -651,16 +653,16 @@ class _LiMemo:
     """eval_li's memo: finished values keyed on (s, t, x, y, n0), n0 being
     the one part of the config a value reads.
 
-    A miss runs one _li_batch for its key and its siblings: the other
-    shapes (s', t') of the running eval_decomposition's terms (siblings,
-    the decomposition's own term tuple, set by it) with the same colors
-    (x, y) that are not known yet, taken in term order.  Every
-    value the batch computes is stored, and computed counts them: one head
-    tail_sum call each, inside the eval_li span of the miss.  calls counts
-    the calls that returned a value.  info() reads computed as the misses
-    and the other calls as the hits, so hits + misses = calls once every
-    sibling has been asked for, as eval_decomposition asks for all its
-    terms before it combines them.  A call that raises counts as neither.
+    A miss runs one _li_batch for its key and the shapes (s', t') of the
+    call's batch (eval_li's argument: a decomposition's own terms, or
+    nothing) with the same colors (x, y) that are not known yet, taken in
+    term order.  Every value the batch computes is stored, and computed
+    counts them: one head tail_sum call each, inside the eval_li span of
+    the miss.  calls counts the calls that returned a value.  info() reads
+    computed as the misses and the other calls as the hits, so hits +
+    misses = calls once every term of a batch has been asked for, as
+    eval_decomposition asks for all its terms before it combines them.  A
+    call that raises counts as neither.
 
     A key whose conjugate (s, t, conj x, conj y, n0) is stored is served
     as the conjugate of that value with its bound, when both of the
@@ -671,13 +673,13 @@ class _LiMemo:
     abs the same moduli.  Only the sign of a zero part can differ, so a
     value with a zero part is not mirrored; its conjugate is computed.
 
-    Every value served is right under any interleaving of threads; the
-    batches and the counts assume one caller at a time, as the benchmark
-    and the command line make their calls.
+    Every value served is right under any interleaving of threads, and a
+    batch holds only shapes of its own call's terms; the counts assume one
+    caller at a time, as the benchmark and the command line make their
+    calls.
     """
 
     def __init__(self) -> None:
-        self.siblings: tuple[LiTerm, ...] = ()
         self.clear()
 
     def clear(self) -> None:
@@ -694,34 +696,29 @@ class _LiMemo:
             return None
         return ValueWithError(v.value.conjugate(), v.error_bound)
 
-    def get(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int) -> ValueWithError:
+    def get(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, batch: tuple[LiTerm, ...]) -> ValueWithError:
         key = (s, t, x, y, n0)
         v = self.values.get(key)
         if v is None:
             xc, yc = x.conjugate(), y.conjugate()
             v = self._mirror(s, t, xc, yc, n0)
-            if v is None:
-                v = self._evaluate(s, t, x, y, xc, yc, n0)
-            self.values[key] = v
+            if v is not None:
+                self.values[key] = v
+            else:
+                shapes = [(s, t)] + [
+                    (u.s, u.t)
+                    for u in batch
+                    if (u.x, u.y) == (x, y)
+                    and (u.s, u.t) != (s, t)
+                    and (u.s, u.t, x, y, n0) not in self.values
+                    and self._mirror(u.s, u.t, xc, yc, n0) is None
+                ]
+                for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
+                    self.values[si, ti, x, y, n0] = ValueWithError(value, bound)
+                self.computed += len(shapes)
+                v = self.values[key]
         self.calls += 1
         return v
-
-    def _evaluate(
-        self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, xc: RootOfUnity, yc: RootOfUnity, n0: int
-    ) -> ValueWithError:
-        """The value of (s, t, x, y, n0), stored with its siblings' values."""
-        shapes = [(s, t)] + [
-            (u.s, u.t)
-            for u in self.siblings
-            if (u.x, u.y) == (x, y)
-            and (u.s, u.t) != (s, t)
-            and (u.s, u.t, x, y, n0) not in self.values
-            and self._mirror(u.s, u.t, xc, yc, n0) is None
-        ]
-        for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
-            self.values[si, ti, x, y, n0] = ValueWithError(value, bound)
-        self.computed += len(shapes)
-        return self.values[s, t, x, y, n0]
 
 
 _li_memo = _LiMemo()
@@ -733,7 +730,7 @@ def _head_length(x: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
 
 
 def eval_li(
-    s: int, t: int, x: RootOfUnity, y: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG
+    s: int, t: int, x: RootOfUnity, y: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG, *, batch: tuple[LiTerm, ...] = ()
 ) -> ValueWithError:
     """Li[s,t](x,y) = sum_{m>n>=1} x^m y^n / (m^s n^t); the caller checks the bound.
 
@@ -744,6 +741,11 @@ def eval_li(
     Euler-Maclaurin terms of relative size about 1e-16), and the roundoff
     allowance 8*eps*1.645*hsum + 16*eps*mass_head + 32*eps*mass does not
     fall as n0 grows (for t = 1, hsum = 1 + log n0 rises).
+
+    batch, a decomposition's terms (eval_decomposition passes d.terms),
+    lets a miss compute the uncached terms of its colors (x, y) with it in
+    one _li_batch, in term order, and store them all (_LiMemo).  It moves
+    no bit of any value or bound; without it a miss computes its key alone.
 
     A max_inner_terms below 2*ord(x)+1 is a ValueError: the tail's binomial
     re-expansion needs a head longer than twice the order of x.  So is a
@@ -759,7 +761,7 @@ def eval_li(
             f"max_inner_terms = {cfg.max_inner_terms} is below 2*order+1 = {2 * x.order + 1}"
             f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
         )
-    return _li_memo.get(s, t, x, y, _head_length(x, cfg))
+    return _li_memo.get(s, t, x, y, _head_length(x, cfg), batch)
 
 
 _LI_MEMOS = (_hurwitz_row, tail_sum, _inv_powers, _root_powers, _tail_schedule)
@@ -1161,18 +1163,14 @@ def eval_mt_direct(
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:
     """Evaluate a decomposition term by term, combining in its term order.
 
-    One eval_li call per term, all made before any term is combined.
-    While they run, and only then, eval_li's memo holds d.terms as its
-    siblings, so the first miss of a color group (x, y) computes every
-    uncached term of the group in one batch, in term order, and every
-    value the batch computes is asked for even when combine then raises.
+    One eval_li call per term, each handed d.terms as its batch, all made
+    before any term is combined: the first miss of a color group (x, y)
+    computes every uncached term of the group in one batch, in term
+    order, and every value the batch computes is asked for even when
+    combine then raises.
     """
-    _li_memo.siblings = d.terms
-    try:
-        values = [eval_li(term.s, term.t, term.x, term.y, cfg) for term in d.terms]
-    finally:
-        _li_memo.siblings = ()
-    return ValueWithError.combine((term.coefficient, v) for term, v in zip(d.terms, values))
+    values = [eval_li(u.s, u.t, u.x, u.y, cfg, batch=d.terms) for u in d.terms]
+    return ValueWithError.combine((u.coefficient, v) for u, v in zip(d.terms, values))
 
 
 def zeta_const(s: int) -> ValueWithError:

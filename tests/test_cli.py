@@ -125,6 +125,17 @@ def test_root_order_over_limit_exits_2(command, capsys):
     assert "MAX_ROOT_ORDER = 2**16" in capsys.readouterr().err
 
 
+def test_decompose_above_the_partial_fraction_cap_exits_2_without_traceback():
+    # Expanding (8000, 8000) takes about a minute and gives coefficients
+    # beyond Python's 4300-digit printing limit; the refusal comes before
+    # any binomial is computed.
+    args = ["decompose", "--p", "8000", "--q", "8000", "--r", "1", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "tornheim", *args], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "MAX_PARTIAL_FRACTION_TERMS = 2**12" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_complex_colors(capsys):
     assert run(["eval", "--p", "1", "--q", "1", "--r", "2", "--alpha", "1/4", "--beta", "1/3"]) == 0
     out = capsys.readouterr().out

@@ -663,9 +663,9 @@ class TestLiBatch:
         # tail_sum computes each distinct key, head or ladder rung, once.
         li_calls, tail_calls, heads = [], [], []
 
-        def counted_li(*args):
+        def counted_li(*args, **kwargs):
             li_calls.append(args)
-            return eval_li(*args)
+            return eval_li(*args, **kwargs)
 
         def counted_tail_sum(s, x, n, order=8):
             tail_calls.append((s, x, n, order))
@@ -703,18 +703,17 @@ class TestLiBatch:
             return tail_sum(s, x, n, order)
 
         monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
-        # The siblings are a decomposition's terms; only those of the
-        # miss's colors join its batch, in term order.
-        siblings = [LiTerm(1, 2, 1, I, W3), LiTerm(1, 4, 1, W3, I), LiTerm(1, 3, 2, I, W3), LiTerm(1, 5, 1, I, W3)]
-        monkeypatch.setattr(evaluate._li_memo, "siblings", tuple(siblings))
+        # The batch is a decomposition's terms; only those of the miss's
+        # colors join its _li_batch, in term order.
+        batch = (LiTerm(1, 2, 1, I, W3), LiTerm(1, 4, 1, W3, I), LiTerm(1, 3, 2, I, W3), LiTerm(1, 5, 1, I, W3))
         eval_li.cache_clear()
         for s, t in [(3, 2), (2, 1), (5, 1)]:
-            eval_li(s, t, I, W3)
+            eval_li(s, t, I, W3, batch=batch)
         info = eval_li.cache_info()
         assert (info.misses, info.hits, info.currsize, heads) == (3, 0, 3, [3, 2, 5])
         eval_li.cache_clear()
         assert eval_li.cache_info() == (0, 0, None, 0)
-        eval_li(5, 1, I, W3)  # computed again, with its siblings
+        eval_li(5, 1, I, W3, batch=batch)  # computed again, with its batch
         assert (eval_li.cache_info().misses, heads[3:]) == (3, [5, 2, 3])
         eval_li.cache_clear()
 
@@ -724,9 +723,9 @@ class TestLiBatch:
         # batch computed was asked for and each made one head tail_sum call.
         li_calls, heads = [], []
 
-        def counted_li(*args):
+        def counted_li(*args, **kwargs):
             li_calls.append(args)
-            return eval_li(*args)
+            return eval_li(*args, **kwargs)
 
         def counted_tail_sum(s, x, n, order=8):
             if order == 8:
@@ -743,7 +742,51 @@ class TestLiBatch:
         eval_li.cache_clear()
         assert info.hits + info.misses == len(li_calls) == len(d.terms)
         assert info.misses == len(heads) == info.currsize
-        assert evaluate._li_memo.siblings == ()
+
+    def test_interleaved_decompositions_keep_their_own_batches(self, monkeypatch):
+        # Thread A is held in its first batch until thread B's whole
+        # decomposition has returned; A's second color group must still be
+        # one batch of its three shapes, not three batches of one.
+        batches = {"A": [], "B": []}
+        a_in_batch, b_done = threading.Event(), threading.Event()
+        errors = []
+
+        def recording_batch(shapes, x, y, n0):
+            name = threading.current_thread().name
+            batches[name].append((tuple(shapes), x, y))
+            if name == "A" and len(batches["A"]) == 1:
+                a_in_batch.set()
+                assert b_done.wait(60)
+            return _li_batch(shapes, x, y, n0)
+
+        def run(name, d, wait_for=None):
+            try:
+                if wait_for is not None:
+                    assert wait_for.wait(60)
+                eval_decomposition(d)
+            except Exception as exc:  # reported by the main thread
+                errors.append((name, exc))
+            finally:
+                if name == "B":
+                    b_done.set()
+
+        monkeypatch.setattr(evaluate, "_li_batch", recording_batch)
+        eval_li.cache_clear()
+        da = decompose(MTIndex(3, 3, 1), I, W3)
+        db = decompose(MTIndex(2, 2, 2), RootOfUnity(1, 8), RootOfUnity(1, 6))
+        threads = [
+            threading.Thread(target=run, args=("A", da), name="A"),
+            threading.Thread(target=run, args=("B", db, a_in_batch), name="B"),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        eval_li.cache_clear()
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        shapes = ((4, 3), (5, 2), (6, 1))
+        assert batches["A"] == [(shapes, I * W3, I.conjugate()), (shapes, W3, I)]
+        assert len(batches["B"]) == len({(u.x, u.y) for u in db.terms})
 
 
 class TestOracle:

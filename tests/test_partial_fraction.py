@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from tornheim import MINUS_ONE, ONE, RootOfUnity, decompose, enumerate_indices, partial_fraction
+from tornheim import MINUS_ONE, ONE, MTIndex, RootOfUnity, decompose, enumerate_indices, partial_fraction
 
 # The package exports the function decompose under the module's name.
 decompose_module = sys.modules["tornheim.decompose"]
@@ -82,6 +82,24 @@ def test_rejects_nonpositive():
     for p, q in [(0, 0), (-1, 2), (2, -1), (-1, 0), (1.0, 1), (1, "2")]:
         with pytest.raises(ValueError):
             partial_fraction(p, q)
+
+
+def test_refuses_p_plus_q_above_the_cap_before_any_binomial(monkeypatch):
+    # The coefficients grow like 2^(p+q); the refusal names the cap and
+    # computes nothing.  MTIndex itself takes any p and q.
+    cap = decompose_module.MAX_PARTIAL_FRACTION_TERMS
+    binomials = []
+    binomial = decompose_module.binomial
+    monkeypatch.setattr(decompose_module, "binomial", lambda n, k: binomials.append((n, k)) or binomial(n, k))
+    for p, q in [(cap, 1), (1, cap), (cap // 2 + 1, cap // 2), (8000, 8000)]:
+        with pytest.raises(ValueError, match="MAX_PARTIAL_FRACTION_TERMS = 2\\*\\*12"):
+            partial_fraction(p, q)
+        with pytest.raises(ValueError, match="MAX_PARTIAL_FRACTION_TERMS"):
+            decompose(MTIndex(p, q, 1), MINUS_ONE, ONE)
+    assert binomials == []
+    assert [(t.x_exp, t.y_exp) for t in partial_fraction(cap, 0)] == [(cap, 0)]
+    assert len(partial_fraction(cap - 1, 1)) == cap
+    decompose_module._partial_fraction.cache_clear()
 
 
 def test_one_evaluation_per_p_and_q(monkeypatch):
