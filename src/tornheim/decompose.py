@@ -178,11 +178,21 @@ class LiTerm:
         }
 
 
+def _record_int(rec: dict, key: str) -> int:
+    """rec[key] as an int; a number with a fractional part, or not finite,
+    is a ValueError rather than truncated to another term."""
+    v = rec[key]
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"term record: {key} = {v!r} is not an integer")
+    return int(v)
+
+
 def term_from_record(rec: dict) -> LiTerm:
+    """The LiTerm of a record as LiTerm.record writes it."""
     return LiTerm(
-        int(rec["coeff"]),
-        int(rec["s"]),
-        int(rec["t"]),
+        _record_int(rec, "coeff"),
+        _record_int(rec, "s"),
+        _record_int(rec, "t"),
         RootOfUnity.parse(rec["x"]),
         RootOfUnity.parse(rec["y"]),
     )

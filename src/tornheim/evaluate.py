@@ -100,14 +100,12 @@ Summation machinery, bottom up:
   phase-weighted columns instead.  No index arrays are built and scratch
   memory is O(cutoff), at most about 40*cutoff doubles.  What the rows
   keep for beta is O(cutoff) per order of beta too: per order n, the class
-  sums (at most 2*min(n, cutoff+1) doubles) on each rows object, and the
-  class index k mod n (cutoff-1 integers) and the order-n phases read so
-  far (at most min(n, count read) complex numbers) shared by a family of
-  same-order recolors.
-  The oracle builds its own phases root^j from root_value and reads none
-  of the Li layer's memos.  After the class rows it multiplies and adds
-  only reals, so its values, like the Li layer's, have the same bits at
-  every SIMD level.
+  sums, at most 2*min(n, cutoff+1) doubles, on each rows object alone; a
+  recolor shares only read-only arrays and the bound.
+  The oracle builds its phases root^j, for alpha and beta alike, by one
+  rule (_phases: root_value(root**j)) and reads none of the Li layer's
+  memos.  After the class rows it multiplies and adds only reals, so its
+  values, like the Li layer's, have the same bits at every SIMD level.
 
 Finished values combine by two rules only (u = eps/2, no over/underflow).
 ValueWithError.combine, sum c*v over rational c, adds sum |c|*e_v plus
@@ -221,6 +219,16 @@ def _check_root_orders(caller: str, **roots: RootOfUnity) -> None:
             )
 
 
+def _coefficient(c: Rational) -> float:
+    """c rounded to a double; a c beyond the double range is a ValueError."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise ValueError(
+            "ValueWithError.combine: a coefficient is beyond the double range (|c| < 2**1024 required)"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ValueWithError:
     """A complex double plus a rigorous absolute error bound."""
@@ -248,12 +256,7 @@ class ValueWithError:
         re, im, eb = [], [], []
         mass = 0.0
         for c, v in parts:
-            try:
-                c = float(c)
-            except OverflowError:
-                raise ValueError(
-                    "ValueWithError.combine: a coefficient is beyond the double range (|c| < 2**1024 required)"
-                ) from None
+            c = _coefficient(c)
             re.append(c * v.value.real)
             im.append(c * v.value.imag)
             eb.append(abs(c) * v.error_bound)
@@ -934,19 +937,22 @@ def _class_rows(a: np.ndarray, b: np.ndarray, order: int, size: int) -> np.ndarr
     return buf[:, :size]
 
 
-def _combine(classes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _phases(root: RootOfUnity, count: int) -> list[complex]:
+    """root^c = root_value(root**c) for c = 0..count-1, the oracle's one
+    phase rule for alpha and beta alike: it reads no Li-layer memo."""
+    return [root_value(root**c) for c in range(count)]
+
+
+def _combine(classes: np.ndarray, alpha: RootOfUnity) -> np.ndarray:
     """The rows re, im, mod: sum_c Re(alpha^c)*C_c, sum_c Im(alpha^c)*C_c and
-    sum_c C_c, a real product per class added in the order of c."""
+    sum_c C_c, c = 1..ord alpha, a real product per class added in the
+    order of c."""
+    phases = np.array(_phases(alpha, len(classes) + 1)[1:])
     weights = np.array([phases.real, phases.imag, np.ones(len(phases))])
     rows = weights[:, :1] * classes[0]
     for c in range(1, len(classes)):
         rows += weights[:, c : c + 1] * classes[c]
     return rows
-
-
-def _phases(alpha: RootOfUnity, count: int) -> np.ndarray:
-    """alpha^c for c = 1..count, built here: the oracle reads no Li-layer memo."""
-    return np.array([root_value(alpha**c) for c in range(1, count + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -969,14 +975,12 @@ class OracleRows:
     bound plus eps*(cutoff+64)*mass, mass = sum_k mod[k-2] * k^-r, the
     order's own mod.
 
-    For eval_mt_direct the rows also keep, per order n of beta, what does
-    not depend on beta's exponent, each computed the first time it is
-    read: in sums, these rows' class sums S_c (class_sums); in family, the
-    class index k mod n and the order-n phases root_value(RootOfUnity(j,
-    n)) for the j read (phases).  family is shared by every same-order
-    recolor, which differs only in re and im; sums is its own.  Both stay
-    O(cutoff) per order, and neither is a memo of the Li layer.  Threads
-    sharing the rows may each compute an entry once, with the same bits.
+    For eval_mt_direct the rows also keep, in sums, their class sums S_c
+    per order n of beta (class_sums), computed the first time an order is
+    read: they do not depend on beta's exponent.  That is O(cutoff) per
+    order, it is not a memo of the Li layer, and each rows object, a
+    recolor too, has its own.  Threads sharing the rows may each compute
+    an entry once, with the same bits.
     """
 
     index: MTIndex
@@ -988,17 +992,7 @@ class OracleRows:
     kf: np.ndarray
     bound: float
     classes: np.ndarray | None
-    family: dict = field(default_factory=dict, repr=False)
     sums: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _order(self, n: int) -> tuple[np.ndarray, dict[int, complex]]:
-        """For beta of order n: the class index k mod n (k = 2..cutoff) and
-        the order-n phases read so far, root_value(RootOfUnity(j, n)) by j.
-        Kept in family, which every same-order recolor shares."""
-        got = self.family.get(n)
-        if got is None:
-            got = self.family[n] = (np.arange(2, self.cutoff + 1) % n, {})
-        return got
 
     def class_sums(self, n: int) -> tuple[list[float], list[float]]:
         """The real and imaginary S_c, c = k mod n: the k^-r-weighted re and
@@ -1006,35 +1000,24 @@ class OracleRows:
         min(n, cutoff+1) each.  Computed once per (rows, n), kept in sums."""
         got = self.sums.get(n)
         if got is None:
-            classes, _ = self._order(n)
+            classes = np.arange(2, self.cutoff + 1) % n
             got = self.sums[n] = tuple(
                 np.bincount(classes, weights=row * self.kf).tolist() for row in (self.re, self.im)
             )
         return got
 
-    def phases(self, beta: RootOfUnity, count: int) -> list[complex]:
-        """beta^c for c < count: beta^c = RootOfUnity(j, n), j = c*exponent
-        mod n, whose root_value is that of beta**c.  Only the powers read
-        are built, each once per same-order family (_order)."""
-        n = beta.order
-        _, table = self._order(n)
-        exps = [beta.exponent * c % n for c in range(count)]
-        for j in exps:
-            if j not in table:
-                table[j] = root_value(RootOfUnity(j, n))
-        return [table[j] for j in exps]
-
     def recolor(self, alpha: RootOfUnity) -> OracleRows:
         """The rows of alpha.  A root of the same order recombines the
-        stored class rows, contracts nothing and shares classes, mod, kf and
-        bound; any other is a fresh oracle_rows(index, alpha) at this
-        cutoff.  Either way the bits are those of a fresh oracle_rows."""
+        stored class rows, contracts nothing and shares the read-only
+        classes, mod and kf and the bound; any other is a fresh
+        oracle_rows(index, alpha) at this cutoff.  Either way the bits are
+        those of a fresh oracle_rows."""
         _check_root_orders("OracleRows.recolor", alpha=alpha)
         if alpha == self.alpha:
             return self
         if alpha.order != self.alpha.order or self.classes is None:
             return oracle_rows(self.index, alpha, EvalConfig(oracle_cutoff=self.cutoff))
-        re, im, _ = _combine(self.classes, _phases(alpha, alpha.order))
+        re, im, _ = _combine(self.classes, alpha)
         return replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
 
 
@@ -1058,12 +1041,13 @@ def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CO
     kf = _read_only(_neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r))
     if order > _MAX_CLASS_ORDER:
         classes = None
-        phase = _phases(alpha, min(order, size))[np.arange(size) % order]  # alpha^n, n = 1..cutoff-1
+        # alpha^n, n = 1..cutoff-1
+        phase = np.array(_phases(alpha, min(order, size + 1)))[np.arange(1, size + 1) % order]
         col = b[:size]
         rows = _contract(_windows(a, 1, size), np.array([phase.real * col, phase.imag * col, col]))[0]
     else:
         classes = _read_only(_class_rows(a, b, order, size))
-        rows = _combine(classes, _phases(alpha, order))
+        rows = _combine(classes, alpha)
     re, im, mod = (_read_only(row) for row in rows)
     mass = fsum((mod * kf).tolist())
     bound = oracle_tail_bound(index.p, index.q, index.r, cut) + _EPS * (cut + 64.0) * mass
@@ -1094,11 +1078,10 @@ def eval_mt_direct(
     A sweep over beta may pass the rows of its (index, alpha) to every
     call: the value and bound are bit for bit those of the call without
     them.  The rows then compute the class sums once per order of beta
-    (OracleRows.class_sums) and each power beta^c once per same-order
-    family of rows (OracleRows.phases), so a call whose order the rows have
-    seen adds only its own combination, and what they keep stays
-    O(cutoff) per order.  Rows built for another index, alpha or cutoff
-    are a ValueError naming the field.
+    (OracleRows.class_sums), so a call whose order the rows have seen
+    builds only its own phases (_phases) and combination, and what the
+    rows keep stays O(cutoff) per order.  Rows built for another index,
+    alpha or cutoff are a ValueError naming the field.
 
     The bound, the rows' own, is the color-independent absolute tail plus
     eps*(cutoff+64)*mass = 2u*(cutoff+64)*mass, mass = sum_k (modulus row
@@ -1153,8 +1136,7 @@ def eval_mt_direct(
         if got != want:
             raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
     sr, si = rows.class_sums(beta.order)
-    # beta^c built by the rows: the oracle reads no Li-layer memo.
-    phases = rows.phases(beta, len(sr))
+    phases = _phases(beta, len(sr))
     re = fsum([b.real * x for b, x in zip(phases, sr)] + [-b.imag * y for b, y in zip(phases, si)])
     im = fsum([b.real * y for b, y in zip(phases, si)] + [b.imag * x for b, x in zip(phases, sr)])
     return ValueWithError(complex(re, im), rows.bound)
@@ -1163,12 +1145,15 @@ def eval_mt_direct(
 def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> ValueWithError:
     """Evaluate a decomposition term by term, combining in its term order.
 
-    One eval_li call per term, each handed d.terms as its batch, all made
-    before any term is combined: the first miss of a color group (x, y)
-    computes every uncached term of the group in one batch, in term
-    order, and every value the batch computes is asked for even when
-    combine then raises.
+    A coefficient beyond the double range is refused first, before any Li
+    value is computed.  Then one eval_li call per term, each handed d.terms
+    as its batch, all made before any term is combined: the first miss of
+    a color group (x, y) computes every uncached term of the group in one
+    batch, in term order, and every value the batch computes is asked for
+    even when combine then raises.
     """
+    for u in d.terms:
+        _coefficient(u.coefficient)
     values = [eval_li(u.s, u.t, u.x, u.y, cfg, batch=d.terms) for u in d.terms]
     return ValueWithError.combine((u.coefficient, v) for u, v in zip(d.terms, values))
 

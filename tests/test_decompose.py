@@ -15,6 +15,7 @@ from tornheim import (
     root_inv,
     root_mul,
     s_decomposition,
+    term_from_record,
     to_level2,
 )
 from tornheim.decompose import expansion_terms
@@ -132,6 +133,17 @@ class TestDecompose:
             LiTerm(1, 1, 1, ONE, ONE)
         with pytest.raises(ValueError):
             LiTerm(1, 4, 0, ONE, ONE)
+
+    @pytest.mark.parametrize(
+        "field, bad", [("coeff", 2.5), ("s", 3.9), ("t", 1.5), ("coeff", float("inf")), ("s", float("nan"))]
+    )
+    def test_term_record_with_a_fractional_number_is_refused(self, field, bad):
+        # int(2.5) would silently read the record as another term.
+        rec = {"coeff": 2, "s": 3, "t": 1, "x": "1/4", "y": "1/3"}
+        assert term_from_record(rec) == LiTerm(2, 3, 1, I, W3)
+        assert term_from_record({**rec, "coeff": 2.0, "s": 3.0}) == LiTerm(2, 3, 1, I, W3)
+        with pytest.raises(ValueError, match=f"{field} = .* is not an integer"):
+            term_from_record({**rec, field: bad})
 
     def test_decomposition_invariants_enforced(self):
         idx = MTIndex(1, 1, 3)

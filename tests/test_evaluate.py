@@ -718,9 +718,10 @@ class TestLiBatch:
         eval_li.cache_clear()
 
     def test_an_aborted_decomposition_keeps_the_counts(self, monkeypatch):
-        # combine refuses the coefficient C(1040, 520), beyond the double
-        # range, only after every term has been evaluated, so each value a
-        # batch computed was asked for and each made one head tail_sum call.
+        # The coefficient C(1040, 520), beyond the double range, is refused
+        # before any eval_li call, so the counts are those of the earlier
+        # decomposition alone: each value a batch computed was asked for
+        # and each made one head tail_sum call.
         li_calls, heads = [], []
 
         def counted_li(*args, **kwargs):
@@ -735,13 +736,35 @@ class TestLiBatch:
         monkeypatch.setattr(evaluate, "eval_li", counted_li)
         monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
         eval_li.cache_clear()
+        done = decompose(MTIndex(2, 2, 2), RootOfUnity(1, 3), I)
+        eval_decomposition(done)
+        before = eval_li.cache_info()
         d = decompose(MTIndex(520, 520, 1), MINUS_ONE, ONE)
         with pytest.raises(ValueError, match="beyond the double range"):
             eval_decomposition(d)
         info = eval_li.cache_info()
         eval_li.cache_clear()
-        assert info.hits + info.misses == len(li_calls) == len(d.terms)
+        assert info == before
+        assert info.hits + info.misses == len(li_calls) == len(done.terms)
         assert info.misses == len(heads) == info.currsize
+
+    def test_a_coefficient_beyond_the_double_range_computes_no_li_value(self, monkeypatch):
+        # MT(600,600,1; -1, 1) has 1200 terms, and its largest coefficient
+        # is beyond the double range: it is refused before the first
+        # eval_li call, not after 1200 of them.
+        li_calls = []
+
+        def counted_li(*args, **kwargs):
+            li_calls.append(args)
+            return eval_li(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "eval_li", counted_li)
+        eval_li.cache_clear()
+        d = decompose(MTIndex(600, 600, 1), MINUS_ONE, ONE)
+        assert len(d.terms) == 1200
+        with pytest.raises(ValueError, match="coefficient is beyond the double range"):
+            eval_decomposition(d)
+        assert li_calls == [] and eval_li.cache_info() == (0, 0, None, 0)
 
     def test_interleaved_decompositions_keep_their_own_batches(self, monkeypatch):
         # Thread A is held in its first batch until thread B's whole
@@ -1135,20 +1158,69 @@ class TestBetaClassSums:
 
     @pytest.mark.parametrize("cut", [2, 17, 1000])
     def test_interleaved_orders_on_one_rows_and_its_recolor(self, cut):
-        # The class sums are kept per (rows, ord beta) and the phases per
-        # same-order family: betas of interleaved orders, some of them
-        # repeated with another exponent, on one rows object and on a
-        # recolor of it must each get the reference's bits.
+        # The class sums are kept per (rows, ord beta), a recolor having
+        # its own: betas of interleaved orders, some of them repeated with
+        # another exponent, on one rows object and on a recolor of it must
+        # each get the reference's bits.
         idx, cfg = MTIndex(2, 1, 1), EvalConfig(oracle_cutoff=cut)
         betas = [RootOfUnity(k, n) for k, n in ((1, 3), (1, 4), (2, 3), (0, 1), (3, 4), (1, 2))]
         rows = oracle_rows(idx, RootOfUnity(1, 6), cfg)
         recolored = rows.recolor(RootOfUnity(5, 6))
-        assert recolored.family is rows.family and recolored.sums is not rows.sums
+        assert recolored.sums is not rows.sums
         for r in (rows, recolored, rows):
             for beta in betas:
                 got = eval_mt_direct(idx, r.alpha, beta, cfg, rows=r)
                 assert repr(got.value) == repr(_class_sum_reference(r, beta)), (r.alpha, beta)
-        assert sorted(rows.sums) == sorted(recolored.sums) == sorted(rows.family) == [1, 2, 3, 4]
+        assert sorted(rows.sums) == sorted(recolored.sums) == [1, 2, 3, 4]
+
+    def test_threads_sharing_rows_and_a_recolor_get_the_reference_bits(self, monkeypatch):
+        # Two threads evaluate betas of the same orders, with other
+        # exponents, on one shared rows object and on a recolor of it.
+        # Each is held in its first class-sum pass until the other is in
+        # it too, so both compute the same entry; every value must still
+        # be the reference's bits.
+        idx, cfg = MTIndex(2, 1, 1), EvalConfig(oracle_cutoff=1000)
+        rows = oracle_rows(idx, RootOfUnity(1, 6), cfg)
+        recolored = rows.recolor(RootOfUnity(5, 6))
+        betas = {
+            "A": [RootOfUnity(k, n) for k, n in ((1, 3), (1, 4), (1, 2), (0, 1))],
+            "B": [RootOfUnity(k, n) for k, n in ((2, 3), (3, 4), (1, 2), (0, 1))],
+        }
+        want = {
+            (name, r.alpha, beta): repr(_class_sum_reference(r, beta))
+            for name in betas
+            for r in (rows, recolored)
+            for beta in betas[name]
+        }
+        both_in_pass, bincount, held = threading.Barrier(2), np.bincount, set()
+        got, errors = {}, []
+
+        def holding(*args, **kwargs):
+            name = threading.current_thread().name
+            if name not in held:
+                held.add(name)
+                both_in_pass.wait(60)
+            return bincount(*args, **kwargs)
+
+        def run(name):
+            try:
+                for r in (rows, recolored):
+                    for beta in betas[name]:
+                        v = eval_mt_direct(idx, r.alpha, beta, cfg, rows=r)
+                        got[name, r.alpha, beta] = repr(v.value)
+            except Exception as exc:  # reported by the main thread
+                errors.append((name, exc))
+
+        monkeypatch.setattr(np, "bincount", holding)
+        threads = [threading.Thread(target=run, args=(name,), name=name) for name in betas]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert errors == [] and not any(thread.is_alive() for thread in threads)
+        assert held == {"A", "B"} and got == want
+        assert recolored.sums is not rows.sums
+        assert sorted(rows.sums) == sorted(recolored.sums) == [1, 2, 3, 4]
 
     def test_one_class_sum_pass_per_rows_and_order(self, monkeypatch):
         # Over a weight-4 sweep each index has six rows objects (one per
