@@ -19,7 +19,7 @@ from tornheim import (
     eval_li,
     eval_mt_direct,
 )
-from tornheim.evaluate import tail_sum
+from tornheim.li import tail_sum
 
 print("Bound vs actual error against closed forms:")
 z2 = tail_sum(2, ONE, 0)

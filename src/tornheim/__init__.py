@@ -14,6 +14,7 @@ from .algebra import (
     root_mul,
     root_value,
 )
+from .bounds import DEFAULT_CONFIG, EvalConfig, ValueWithError, pi_const
 from .decompose import (
     Decomposition,
     EulerTerm,
@@ -27,16 +28,8 @@ from .decompose import (
     term_from_record,
     to_level2,
 )
-from .evaluate import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    ValueWithError,
-    eval_decomposition,
-    eval_li,
-    eval_mt_direct,
-    pi_const,
-    zeta_const,
-)
+from .li import eval_decomposition, eval_li, zeta_const
+from .oracle import eval_mt_direct
 from .verify import (
     Fixture,
     RelationSpec,

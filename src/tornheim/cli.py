@@ -11,8 +11,10 @@ import json
 import sys
 
 from .algebra import RootOfUnity
+from .bounds import EvalConfig, ValueWithError
 from .decompose import MTIndex, decompose, to_level2
-from .evaluate import EvalConfig, ValueWithError, eval_decomposition, eval_mt_direct
+from .li import eval_decomposition
+from .oracle import eval_mt_direct
 from .verify import (
     Report,
     check_relation,

@@ -23,18 +23,10 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .algebra import MINUS_ONE, ONE, RootOfUnity
+from .bounds import DEFAULT_CONFIG, EvalConfig, ValueWithError, pi_const
 from .decompose import EulerTerm, LiTerm, MTIndex, decompose, r_decomposition
-from .evaluate import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    ValueWithError,
-    eval_decomposition,
-    eval_li,
-    eval_mt_direct,
-    oracle_rows,
-    pi_const,
-    zeta_const,
-)
+from .li import eval_decomposition, eval_li, zeta_const
+from .oracle import eval_mt_direct, oracle_rows
 
 R212_PRINTED = -0.2402184755
 R212_CLOSED_FORM = "107/32*zeta(5) - 5/16*pi^2*zeta(3)"
@@ -433,7 +425,11 @@ def _parse_rational(toks: _Tokens) -> Fraction:
     num = toks.expect_int()
     if toks.peek()[1] == "/":
         toks.next()
-        return Fraction(num, toks.expect_int())
+        pos = toks.peek()[2]
+        den = toks.expect_int()
+        if den == 0:
+            raise RelationSyntaxError("denominator must be nonzero", pos)
+        return Fraction(num, den)
     return Fraction(num)
 
 

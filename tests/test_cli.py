@@ -225,6 +225,27 @@ def test_coefficient_beyond_the_double_range_exits_2_without_traceback(command, 
     assert "Traceback" not in proc.stderr and "777777" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "line, code, text",
+    [
+        (f"{10**308}*zeta(2) + {10**308}*zeta(3) == Li(2,1;1,1)", 2, "the sum is beyond the double range"),
+        (f"{10**307}*zeta(2) + {10**307}*zeta(3) == Li(2,1;1,1)", 1, "fail"),
+        ("1/0*zeta(3) == Li(2,1;1,1)", 2, "denominator must be nonzero (at position 2)"),
+    ],
+    ids=["sum-overflows", "sum-finite", "zero-denominator"],
+)
+def test_relation_file_at_the_edges_of_its_grammar_and_range(line, code, text, tmp_path, capsys):
+    # A sum beyond the double range and a zero denominator each used to end
+    # in a traceback; a finite sum far from the target is a plain fail row.
+    rel = tmp_path / "rel.txt"
+    rel.write_text(line + "\n", encoding="utf-8")
+    assert run(["relation", "--file", str(rel)]) == code
+    out, err = capsys.readouterr()
+    assert text in (err if code == 2 else out)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("pq", [("2000", "1"), ("1", "1100")])
 def test_oracle_bound_beyond_the_double_range_exits_2_without_traceback(pq):
     # At cutoff 1 the oracle's tail bound grows as 2**max(p, q); it used

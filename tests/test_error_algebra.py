@@ -129,6 +129,16 @@ def test_coefficient_beyond_the_double_range_is_a_named_error(coeff):
     assert str(abs(coeff))[:12] not in str(info.value)
 
 
+def test_sum_beyond_the_double_range_is_a_named_error():
+    # Every c*v is finite, about 1.6e308 and 1.2e308, but their sum is
+    # not; fsum used to raise OverflowError ("intermediate overflow").
+    parts = [(10**308, zeta_const(2)), (10**308, zeta_const(3))]
+    with pytest.raises(ValueError, match=r"^ValueWithError.combine: the sum is beyond the double range$"):
+        ValueWithError.combine(parts)
+    v = ValueWithError.combine([(c // 10, z) for c, z in parts])
+    assert math.isfinite(v.value.real) and v.value.real > 2.8e307
+
+
 def test_coefficient_within_the_double_range_rounds_as_a_product_would():
     # A Fraction or an int beyond 2**53 is rounded to a double once, as
     # c * v rounds it, so combine's bits are those of the plain products.

@@ -74,7 +74,7 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 from test_eval_pins import SWEEP_ALPHA_ORDERS, SWEEP_BETA_ORDERS, _cases, _evaluate
 from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct
-from tornheim.evaluate import oracle_rows
+from tornheim.oracle import oracle_rows
 
 z = np.random.default_rng(0).standard_normal((4, 4096))
 print(hashlib.sha256(((z[0] + 1j * z[1]) * (z[2] + 1j * z[3])).tobytes()).hexdigest())

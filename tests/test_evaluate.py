@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -8,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +34,9 @@ from tornheim import (
     verify_r212,
     zeta_const,
 )
-from tornheim import evaluate
-from tornheim.evaluate import (
-    MAX_ORACLE_CUTOFF,
-    MAX_ROOT_ORDER,
+from tornheim import bounds, li, oracle
+from tornheim.bounds import MAX_ORACLE_CUTOFF, MAX_ROOT_ORDER
+from tornheim.li import (
     _hurwitz_row,
     _li_batch,
     _li_head,
@@ -43,10 +44,9 @@ from tornheim.evaluate import (
     _tail_schedule,
     _weighted_sums,
     hurwitz_tail,
-    oracle_rows,
-    oracle_tail_bound,
     tail_sum,
 )
+from tornheim.oracle import oracle_rows, oracle_tail_bound
 from tornheim.verify import _agreement
 
 I = RootOfUnity(1, 4)
@@ -133,7 +133,7 @@ def _scalar_tail_sum(s, x, n, order):
     re = [(x**c).value().real * hz for c, hz in enumerate(row, 1)]
     im = [(x**c).value().imag * hz for c, hz in enumerate(row, 1)]
     value = (x**n).value() * complex(math.fsum(re), math.fsum(im)) * scale
-    return repr(value), repr(scale * (bound + 8.0 * evaluate._EPS * mass))
+    return repr(value), repr(scale * (bound + 8.0 * bounds._EPS * mass))
 
 
 class TestTailSum:
@@ -182,7 +182,7 @@ class TestTailSum:
         # Every residue n mod nn and both n > nn and n < nn, so that each
         # phase x^c and x^(n mod nn) is read.  The root-power table of n
         # columns has the bits of all nn phases taken at j mod nn.
-        root_value = evaluate.root_value
+        root_value = li.root_value
         for x in [RootOfUnity(k, nn) for k in range(nn) if math.gcd(k, nn) == 1]:
             every = np.array([root_value(x**j) for j in range(nn)])
             for n in range(2 * nn + 2):
@@ -195,9 +195,13 @@ class TestTailSum:
                         assert (repr(got.value), repr(got.error_bound)) == ref, (s, x, n, order)
         # A table shorter than the order builds only the phases it holds.
         calls, big = [], RootOfUnity(1, MAX_ROOT_ORDER)
-        monkeypatch.setattr(evaluate, "root_value", lambda root: calls.append(root) or root_value(root))
+        monkeypatch.setattr(li, "root_value", lambda root: calls.append(root) or root_value(root))
+        eval_li.cache_clear()
         phases = np.array([root_value(big**j) for j in range(2 * nn + 2)])
         assert _root_powers(big, 2 * nn + 2).tobytes() == np.array([phases.real, phases.imag]).tobytes()
+        assert len(calls) == 2 * nn + 2
+        # The oracle builds its phases through its own binding, not the Li layer's.
+        eval_mt_direct(MTIndex(2, 1, 2), big, big, EvalConfig(oracle_cutoff=8))
         assert len(calls) == 2 * nn + 2
 
     def test_rejects_bad_arguments(self):
@@ -292,7 +296,7 @@ class TestEvalLi:
             calls.append(n0)
             return [(0.5 + 0j, 1.0)] * len(shapes)
 
-        monkeypatch.setattr(evaluate, "_li_batch", loose)
+        monkeypatch.setattr(li, "_li_batch", loose)
         eval_li.cache_clear()
         v = eval_li(2, 1, ONE, ONE, EvalConfig(tolerance=1e-13))
         eval_li.cache_clear()
@@ -316,7 +320,7 @@ class TestEvalLi:
         upper = [x for x in roots if 2 * x.exponent <= x.order]
         for s, t in [(2, 1), (3, 2), (5, 1), (4, 4), (10, 10), (19, 1)]:
             for x in upper:
-                n0 = evaluate._head_length(x)
+                n0 = li._head_length(x)
                 for y in roots:
                     v, b = _li_once(s, t, x, y, n0)
                     vc, bc = _li_once(s, t, x.conjugate(), y.conjugate(), n0)
@@ -333,7 +337,7 @@ class TestEvalLi:
             batches.append((x, y))
             return [(stored, 1e-12)] * len(shapes)
 
-        monkeypatch.setattr(evaluate, "_li_batch", batch)
+        monkeypatch.setattr(li, "_li_batch", batch)
         x, y = RootOfUnity(1, 8), W3
         eval_li.cache_clear()
         eval_li(2, 1, x, y)
@@ -397,6 +401,20 @@ def _scalar_head(t_n0, s, t, x, y, n0):
     return complex(_pairwise(re), _pairwise(im)), mass
 
 
+def _tornheim_imports(path: Path) -> set[str]:
+    """The package modules a module of it imports: a relative import's module
+    (its names, for `from . import`), or an absolute tornheim import as written."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "tornheim":
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.split(".")[0] == "tornheim"}
+    return found
+
+
 class TestLiMemos:
     def test_cache_clear_empties_every_private_memo(self):
         # Every lru_cache of the module but eval_li's own and the
@@ -404,10 +422,10 @@ class TestLiMemos:
         # memo of the Li layer, and eval_li.cache_clear() must reach it.
         memos = [
             f
-            for name, f in vars(evaluate).items()
+            for name, f in vars(li).items()
             if hasattr(f, "cache_info") and name not in ("eval_li", "_em_params")
         ]
-        assert set(memos) == set(evaluate._LI_MEMOS)
+        assert set(memos) == set(li._LI_MEMOS)
         eval_li(3, 2, I, W3)
         assert all(f.cache_info().currsize for f in memos)
         eval_li.cache_clear()
@@ -425,7 +443,7 @@ class TestLiMemos:
         def failing(shapes, x, y, n0):
             raise ValueError("batch failed")
 
-        monkeypatch.setattr(evaluate, "_li_batch", failing)
+        monkeypatch.setattr(li, "_li_batch", failing)
         eval_li.cache_clear()
         with pytest.raises(ValueError, match="batch failed"):
             eval_li(2, 1, I, W3)
@@ -454,8 +472,17 @@ class TestLiMemos:
         eval_mt_direct(MTIndex(1, 1, 2), W3, I, cfg)
         rows = oracle_rows(MTIndex(1, 1, 2), W3, cfg)
         eval_mt_direct(MTIndex(1, 1, 2), W3, I, cfg, rows=rows)
-        memos = evaluate._LI_MEMOS
+        memos = li._LI_MEMOS
         assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
+
+    @pytest.mark.parametrize("module, other", [("li", "oracle"), ("oracle", "li")])
+    def test_li_and_oracle_import_only_the_shared_modules(self, module, other):
+        # The same independence read from the source: neither path imports
+        # the other, and both reach only the exact algebra, the
+        # decompositions and what bounds.py holds for both.
+        found = _tornheim_imports(Path(li.__file__).with_name(f"{module}.py"))
+        assert "bounds" in found and other not in found
+        assert found <= {"algebra", "bounds", "decompose"}
 
     def test_colors_of_one_order_share_a_tail_schedule(self):
         eval_li.cache_clear()
@@ -473,7 +500,7 @@ class TestLiMemos:
             calls.append((s, w))
             return hurwitz_tail(s, w, order)
 
-        monkeypatch.setattr(evaluate, "hurwitz_tail", counted)
+        monkeypatch.setattr(li, "hurwitz_tail", counted)
         eval_li.cache_clear()
         a = tail_sum(3, RootOfUnity(1, 8), 128)
         rows = _hurwitz_row.cache_info()
@@ -485,9 +512,9 @@ class TestLiMemos:
         assert not hasattr(hurwitz_tail, "cache_info")
         assert hurwitz_tail(3, 2.5) is not hurwitz_tail(3, 2.5)
         # tail_sum keeps its values until eval_li.cache_clear() empties them.
-        assert tail_sum in evaluate._LI_MEMOS
+        assert tail_sum in li._LI_MEMOS
         calls = []
-        monkeypatch.setattr(evaluate, "hurwitz_tail", lambda *a: calls.append(a) or hurwitz_tail(*a))
+        monkeypatch.setattr(li, "hurwitz_tail", lambda *a: calls.append(a) or hurwitz_tail(*a))
         eval_li.cache_clear()
         assert tail_sum(3, I, 64) is tail_sum(3, I, 64)
         assert tail_sum.cache_info()[:2] == (1, 1) and len(calls) == 4
@@ -510,7 +537,7 @@ class TestLiMemos:
             eval_li(s, t, x.conjugate(), y)
             eval_li(s + 1, t, x, y.conjugate())
         # An uncached pass at eval_li's default head length, on warm memos.
-        warm = [_li_once(s, t, x, y, evaluate._head_length(x)) for s, t, x, y in shapes]
+        warm = [_li_once(s, t, x, y, li._head_length(x)) for s, t, x, y in shapes]
         assert [(repr(v), repr(b)) for v, b in warm] == [
             (repr(v.value), repr(v.error_bound)) for v in cold
         ]
@@ -650,7 +677,7 @@ class TestLiBatch:
             d = decompose(idx, root(a), root(b))
             got = eval_decomposition(d)
             alone = ValueWithError.combine(
-                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, evaluate._head_length(u.x))))
+                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, li._head_length(u.x))))
                 for u in d.terms
             )
             assert (repr(got.value), repr(got.error_bound)) == (repr(alone.value), repr(alone.error_bound)), d
@@ -673,8 +700,8 @@ class TestLiBatch:
                 heads.append((s, x, n))
             return tail_sum(s, x, n, order)
 
-        monkeypatch.setattr(evaluate, "eval_li", counted_li)
-        monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
+        monkeypatch.setattr(li, "eval_li", counted_li)
+        monkeypatch.setattr(li, "tail_sum", counted_tail_sum)
         eval_li.cache_clear()
         terms = 0
         for idx in enumerate_indices(6):
@@ -702,7 +729,7 @@ class TestLiBatch:
                 heads.append(s)
             return tail_sum(s, x, n, order)
 
-        monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
+        monkeypatch.setattr(li, "tail_sum", counted_tail_sum)
         # The batch is a decomposition's terms; only those of the miss's
         # colors join its _li_batch, in term order.
         batch = (LiTerm(1, 2, 1, I, W3), LiTerm(1, 4, 1, W3, I), LiTerm(1, 3, 2, I, W3), LiTerm(1, 5, 1, I, W3))
@@ -733,8 +760,8 @@ class TestLiBatch:
                 heads.append(s)
             return tail_sum(s, x, n, order)
 
-        monkeypatch.setattr(evaluate, "eval_li", counted_li)
-        monkeypatch.setattr(evaluate, "tail_sum", counted_tail_sum)
+        monkeypatch.setattr(li, "eval_li", counted_li)
+        monkeypatch.setattr(li, "tail_sum", counted_tail_sum)
         eval_li.cache_clear()
         done = decompose(MTIndex(2, 2, 2), RootOfUnity(1, 3), I)
         eval_decomposition(done)
@@ -758,7 +785,7 @@ class TestLiBatch:
             li_calls.append(args)
             return eval_li(*args, **kwargs)
 
-        monkeypatch.setattr(evaluate, "eval_li", counted_li)
+        monkeypatch.setattr(li, "eval_li", counted_li)
         eval_li.cache_clear()
         d = decompose(MTIndex(600, 600, 1), MINUS_ONE, ONE)
         assert len(d.terms) == 1200
@@ -793,7 +820,7 @@ class TestLiBatch:
                 if name == "B":
                     b_done.set()
 
-        monkeypatch.setattr(evaluate, "_li_batch", recording_batch)
+        monkeypatch.setattr(li, "_li_batch", recording_batch)
         eval_li.cache_clear()
         da = decompose(MTIndex(3, 3, 1), I, W3)
         db = decompose(MTIndex(2, 2, 2), RootOfUnity(1, 8), RootOfUnity(1, 6))
@@ -859,7 +886,7 @@ class TestOracle:
             ((2, 1, 2), MINUS_ONE, W3),
             ((1, 1, 2), RootOfUnity(5, 6), RootOfUnity(1, 8)),
             ((2, 2, 3), RootOfUnity(3, 8), MINUS_ONE),
-            ((1, 2, 3), RootOfUnity(7, evaluate._MAX_CLASS_ORDER + 1), I),
+            ((1, 2, 3), RootOfUnity(7, oracle._MAX_CLASS_ORDER + 1), I),
         ],
     )
     def test_window_indexing_vs_explicit_terms(self, cut, pqr, alpha, beta):
@@ -913,11 +940,11 @@ class TestOracle:
             "import os, sys\n"
             "if sys.argv[1] == 'pinned':\n"
             "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct, evaluate\n"
+            "from tornheim import EvalConfig, MTIndex, RootOfUnity, eval_mt_direct, oracle\n"
             "v = eval_mt_direct(MTIndex(1, 2, 3), RootOfUnity(1, 4), RootOfUnity(1, 3),"
             " EvalConfig(oracle_cutoff=12000))\n"
             "print(repr(v.value), repr(v.error_bound))\n"
-            "print(evaluate._cpu_count(), file=sys.stderr)\n"
+            "print(oracle._cpu_count(), file=sys.stderr)\n"
         )
         runs = [("1", "all"), ("2", "all")]
         if hasattr(os, "sched_setaffinity"):
@@ -1041,7 +1068,7 @@ ROOTS_1_TO_12 = sorted({RootOfUnity(k, n) for n in range(1, 13) for k in range(n
 ROOTS_1_TO_12_CONJUGATE_FIRST = sorted(ROOTS_1_TO_12, key=lambda a: (a.order, -a.exponent))
 ROW_CLASS_INDICES = [(1, 1, 2), (2, 2, 3), (0, 2, 2), (2, 0, 3), (3, 1, 2), (0, 1, 2)]
 # A root of the lowest order above the class cap, and its conjugate.
-ABOVE_THE_CAP = [RootOfUnity(7, evaluate._MAX_CLASS_ORDER + 1), RootOfUnity(10, evaluate._MAX_CLASS_ORDER + 1)]
+ABOVE_THE_CAP = [RootOfUnity(7, oracle._MAX_CLASS_ORDER + 1), RootOfUnity(10, oracle._MAX_CLASS_ORDER + 1)]
 
 
 def _dot_rows(window, col, block):
@@ -1070,12 +1097,12 @@ def _reference_classes(index, order, cut):
     size = cut - 1
     length = -(-size // order)
     ns = np.arange(1, order * length + 1, dtype=np.float64)
-    a, b = evaluate._neg_int_pow(ns, index.p), evaluate._neg_int_pow(ns, index.q)
+    a, b = oracle._neg_int_pow(ns, index.p), oracle._neg_int_pow(ns, index.q)
     classes = [[0.0] * size for _ in range(order)]
     for rho in range(1, order + 1):
         window = _dense_window(a[rho - 1 :: order])
         for c in range(1, order + 1):
-            row = _dot_rows(window, np.ascontiguousarray(b[c - 1 :: order]), evaluate._BLOCK).tolist()
+            row = _dot_rows(window, np.ascontiguousarray(b[c - 1 :: order]), oracle._BLOCK).tolist()
             for s, x in enumerate(row):
                 if rho + c + s * order <= cut:
                     classes[c - 1][rho + c + s * order - 2] = x
@@ -1089,13 +1116,13 @@ def _reference_rows(index, alpha, cut, classes):
     1.0.  Above it, the dense window (m^-p) dotted with alpha^n * n^-q,
     its real and imaginary parts, and with n^-q."""
     size = cut - 1
-    if alpha.order > evaluate._MAX_CLASS_ORDER:
+    if alpha.order > oracle._MAX_CLASS_ORDER:
         ns = np.arange(1, cut, dtype=np.float64)
-        a, b = evaluate._neg_int_pow(ns, index.p), evaluate._neg_int_pow(ns, index.q)
+        a, b = oracle._neg_int_pow(ns, index.p), oracle._neg_int_pow(ns, index.q)
         phase = np.array([(alpha**n).value() for n in range(1, cut)])
         window = _dense_window(a)
         cols = (phase.real * b, phase.imag * b, b)
-        return np.array([_dot_rows(window, col, evaluate._BLOCK) for col in cols]).tobytes()
+        return np.array([_dot_rows(window, col, oracle._BLOCK) for col in cols]).tobytes()
     phases = [(alpha**c).value() for c in range(1, alpha.order + 1)]
     rows = []
     for w in ([z.real for z in phases], [z.imag for z in phases], [1.0] * alpha.order):
@@ -1111,7 +1138,7 @@ def _reference_rows(index, alpha, cut, classes):
 
 def _reference(index, colors, cut):
     """alpha -> _reference_rows bytes for every alpha of colors."""
-    orders = {a.order for a in colors if a.order <= evaluate._MAX_CLASS_ORDER}
+    orders = {a.order for a in colors if a.order <= oracle._MAX_CLASS_ORDER}
     classes = {n: _reference_classes(index, n, cut) for n in orders}
     return {alpha: _reference_rows(index, alpha, cut, classes.get(alpha.order)) for alpha in colors}
 
@@ -1271,7 +1298,7 @@ class TestOracleRowClasses:
     @pytest.mark.parametrize("cut", [2, 17, 1000])
     def test_class_rows_equal_the_reference_byte_for_byte(self, cut):
         idx, cfg = MTIndex(2, 1, 2), EvalConfig(oracle_cutoff=cut)
-        for n in (1, 2, 5, 12, evaluate._MAX_CLASS_ORDER):
+        for n in (1, 2, 5, 12, oracle._MAX_CLASS_ORDER):
             rows = oracle_rows(idx, RootOfUnity(1, n), cfg)
             assert rows.classes.tobytes() == np.array(_reference_classes(idx, n, cut)).reshape(n, cut - 1).tobytes()
             assert not rows.classes.flags.writeable
@@ -1308,24 +1335,24 @@ class TestOracleRowClasses:
     # the size only moves how many exact zeros a dot product adds.
     @pytest.mark.parametrize("cut", [1000, 2200])
     def test_rows_do_not_depend_on_the_block_size(self, cut, monkeypatch):
-        assert ((cut - 1) ** 2 // 2 >= evaluate._PARALLEL_FLOOR) == (cut == 2200)
+        assert ((cut - 1) ** 2 // 2 >= oracle._PARALLEL_FLOOR) == (cut == 2200)
         idx, cfg = MTIndex(2, 1, 2), EvalConfig(oracle_cutoff=cut)
         alphas, got = (ONE, MINUS_ONE, RootOfUnity(5, 12), ABOVE_THE_CAP[0]), {}
         for block in (32, 64, 256):
-            monkeypatch.setattr(evaluate, "_BLOCK", block)
+            monkeypatch.setattr(oracle, "_BLOCK", block)
             got[block] = [_row_bytes(oracle_rows(idx, alpha, cfg)) for alpha in alphas]
         assert got[32] == got[64] == got[256]
 
     @pytest.fixture
     def passes(self, monkeypatch):
         count = [0]
-        contract = evaluate._contract
+        contract = oracle._contract
 
         def counting(windows, cols):
             count[0] += 1
             return contract(windows, cols)
 
-        monkeypatch.setattr(evaluate, "_contract", counting)
+        monkeypatch.setattr(oracle, "_contract", counting)
         return count
 
     def test_grid_makes_one_pass_per_order_and_index(self, passes):
@@ -1361,12 +1388,12 @@ class TestOracleRowClasses:
         """The worker counts of the thread pools _contract builds."""
         built = []
 
-        class Recording(evaluate.ThreadPoolExecutor):
+        class Recording(oracle.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 built.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", Recording)
         return built
 
     # At cutoff 2200 a class pass is 2.4e6 multiply-adds, above the floor.
@@ -1378,8 +1405,8 @@ class TestOracleRowClasses:
     )
     def test_rows_do_not_depend_on_the_workers(self, alpha, blocks, monkeypatch, executors):
         cut = 2200
-        assert (cut - 1) ** 2 // 2 >= evaluate._PARALLEL_FLOOR
-        contract = evaluate._contract
+        assert (cut - 1) ** 2 // 2 >= oracle._PARALLEL_FLOOR
+        contract = oracle._contract
         outs = {}
 
         def recording(windows, cols):
@@ -1387,9 +1414,9 @@ class TestOracleRowClasses:
             outs[workers].append(out.tobytes())
             return out
 
-        monkeypatch.setattr(evaluate, "_contract", recording)
+        monkeypatch.setattr(oracle, "_contract", recording)
         for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(evaluate, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(oracle, "_cpu_count", lambda: workers)
             outs[workers] = []
             rows = oracle_rows(MTIndex(2, 1, 2), alpha, EvalConfig(oracle_cutoff=cut))
             outs[workers].append(_row_bytes(rows))
@@ -1401,7 +1428,7 @@ class TestOracleRowClasses:
         alpha = RootOfUnity(1, 3)
         want = _row_bytes(oracle_rows(idx, alpha, cfg))
         threads = threading.active_count()
-        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 4 * (os.cpu_count() or 1) + 3)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 4 * (os.cpu_count() or 1) + 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1419,8 +1446,8 @@ class TestOracleRowClasses:
         def refuse(*args, **kwargs):
             raise AssertionError("a thread pool was built below the floor")
 
-        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 4)
         cfg = EvalConfig(oracle_cutoff=1000)
         for alpha in [RootOfUnity(1, n) for n in (1, 2, 3, 4, 12)] + ABOVE_THE_CAP[:1]:
             oracle_rows(MTIndex(2, 1, 2), alpha, cfg)
@@ -1446,9 +1473,9 @@ class TestOracleRowClasses:
             return einsum(*args)
 
         idx, alpha, cfg = MTIndex(2, 1, 2), RootOfUnity(1, 4), EvalConfig(oracle_cutoff=3000)
-        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
         want = _row_bytes(oracle_rows(idx, alpha, cfg))
-        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         monkeypatch.setattr(np, "einsum", stalling)
         assert _row_bytes(oracle_rows(idx, alpha, cfg)) == want
         assert executors == [1] and ran == {"main": blocks - 1, "worker": 1}
@@ -1465,7 +1492,7 @@ class TestOracleRowClasses:
             return einsum(*args)
 
         threads = threading.active_count()
-        monkeypatch.setattr(evaluate, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 2)
         monkeypatch.setattr(np, "einsum", failing)
         with pytest.raises(RuntimeError, match="worker share failed"):
             oracle_rows(MTIndex(2, 1, 2), RootOfUnity(1, 4), EvalConfig(oracle_cutoff=3000))
@@ -1477,9 +1504,9 @@ class TestOracleRowClasses:
         # is os.cpu_count(), and 1 when that is unknown.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert evaluate._cpu_count() == 3
+        assert oracle._cpu_count() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert evaluate._cpu_count() == 1
+        assert oracle._cpu_count() == 1
 
 
 class TestEvalDecomposition:
@@ -1531,7 +1558,7 @@ class TestHonestyRandomized:
 
         def combined(d, scale):
             return ValueWithError.combine(
-                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, scale * evaluate._head_length(u.x))))
+                (u.coefficient, ValueWithError(*_li_once(u.s, u.t, u.x, u.y, scale * li._head_length(u.x))))
                 for u in d.terms
             )
 
@@ -1589,17 +1616,29 @@ class TestConfigAndValue:
             eval_mt_direct(MTIndex(2, 1, 2), RootOfUnity(1, MAX_ROOT_ORDER + 1), ONE, cfg)
         eval_li.cache_clear()
 
+    def test_eval_li_refuses_a_product_order_above_the_limit_before_any_work(self, monkeypatch):
+        # x and y are within the limit, but the tail's ladder rungs are
+        # tail_sum calls at x*y, of order 3 * 2**16: refused up front, not
+        # after the head's work, and with both roots named.
+        calls = []
+        monkeypatch.setattr(li, "tail_sum", lambda *a: calls.append(a) or tail_sum(*a))
+        eval_li.cache_clear()
+        message = r"eval_li: x\*y = \(1/65536\)\*\(1/3\) = 65539/196608 has order 196608 > MAX_ROOT_ORDER = 2\*\*16"
+        with pytest.raises(ValueError, match=message):
+            eval_li(2, 1, RootOfUnity(1, MAX_ROOT_ORDER), W3)
+        assert calls == [] and eval_li.cache_info() == (0, 0, None, 0)
+
     def test_oracle_builds_only_the_root_powers_it_reads(self, monkeypatch):
         # n < cutoff reads alpha^(n mod ord alpha) and k <= cutoff reads
         # beta^(k mod ord beta): a root of order 2**16 at cutoff 8 builds
         # at most cutoff + 1 powers, not 2**16.
-        calls, root_value = [], evaluate.root_value
+        calls, root_value = [], oracle.root_value
 
         def counting(root):
             calls.append(root)
             return root_value(root)
 
-        monkeypatch.setattr(evaluate, "root_value", counting)
+        monkeypatch.setattr(oracle, "root_value", counting)
         big, cfg = RootOfUnity(1, MAX_ROOT_ORDER), EvalConfig(oracle_cutoff=8)
         rows = oracle_rows(MTIndex(2, 1, 2), big, cfg)
         assert 0 < len(calls) <= 9

@@ -280,6 +280,7 @@ class TestRelations:
             ("1*zeta(3) == Li(2,1;1,1) & 1", "unexpected character '&'", 25),
             ("1*zeta(3) == Li(2,x;1,1)", "expected integer, found 'x'", 18),
             ("1*zeta(3) == Li(2,", "expected integer, found 'end of line'", 18),
+            ("1/0*zeta(3) == Li(2,1;1,1)", "denominator must be nonzero", 2),
         ],
     )
     def test_token_errors_name_what_they_found(self, line, message, position):
