@@ -11,7 +11,7 @@ import json
 import sys
 
 from .algebra import RootOfUnity
-from .bounds import EvalConfig, ValueWithError
+from .bounds import DEFAULT_CONFIG, EvalConfig, ValueWithError
 from .decompose import MTIndex, decompose, to_level2
 from .li import eval_decomposition
 from .oracle import eval_mt_direct
@@ -68,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate via the decomposition")
     add_index_args(p_eval)
-    p_eval.add_argument("--tol", type=float, default=1e-10)
+    p_eval.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tolerance)
 
     p_or = sub.add_parser("oracle", help="evaluate via the direct double sum")
     add_index_args(p_or)
-    p_or.add_argument("--cutoff", type=int, default=20000)
+    p_or.add_argument("--cutoff", type=int, default=DEFAULT_CONFIG.oracle_cutoff)
 
     p_ver = sub.add_parser("verify", help="run fixtures, cross-check grid and the R(2,1,2) checks")
     p_ver.add_argument("--fixtures", default=None, help="fixture file (default: packaged table)")

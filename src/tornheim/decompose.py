@@ -21,11 +21,12 @@ including the bar notation below, follows the outer-first convention.)
 
 Both sums are the partial-fraction identity for 1/(x^p y^q) at x = m,
 y = n: a term c/(x^e (x+y)^f) becomes c*Li[r+f, e](a*b, 1/a) and a term
-c/(y^e (x+y)^f) becomes c*Li[r+f, e](b, a), so partial_fraction is the
-one place the identity is coded.  The p = 0 and q = 0 boundary cases flow
-through it too: the falling-factorial binomial convention makes every term
-but one vanish, collapsing the sum to the single term the index
-substitution M = m+n gives directly.
+c/(y^e (x+y)^f) becomes c*Li[r+f, e](b, a).  partial_fraction is the one
+place the identity is coded, and decompose the one place its terms become
+Li terms.  The p = 0 and q = 0 boundary cases flow through them too: the
+falling-factorial binomial convention makes every term but one vanish,
+collapsing the sum to the single term the index substitution M = m+n gives
+directly.
 """
 from __future__ import annotations
 
@@ -97,15 +98,12 @@ class PartialFractionTerm:
     y_exp: int
     sum_exp: int
 
-    @property
-    def variable(self) -> str:
-        return "x" if self.x_exp > 0 else "y"
-
     def evaluate(self, x: float, y: float) -> float:
         return self.coefficient / (x**self.x_exp * y**self.y_exp * (x + y) ** self.sum_exp)
 
 
-def partial_fraction(p: int, q: int) -> list[PartialFractionTerm]:
+@lru_cache(maxsize=None, typed=True)
+def partial_fraction(p: int, q: int) -> tuple[PartialFractionTerm, ...]:
     """Expand 1/(x^p y^q) into terms in x-or-y times (x+y) powers.
 
     1/(x^p y^q) = sum_{i<p} C(q+i-1,i) / (x^(p-i) (x+y)^(q+i))
@@ -114,19 +112,13 @@ def partial_fraction(p: int, q: int) -> list[PartialFractionTerm]:
     valid for integers p, q >= 0 with p+q > 0 and reals x, y with
     x+y != 0.  C is the falling-factorial binomial, and terms whose
     coefficient vanishes are dropped: p+q terms when p, q >= 1, and the
-    single term 1/y^q (p = 0) or 1/x^p (q = 0) otherwise.  Each call
-    returns a fresh list of the terms _partial_fraction keeps.  A p+q
-    above MAX_PARTIAL_FRACTION_TERMS = 2**12 is a ValueError, raised before
-    any binomial is computed.
+    single term 1/y^q (p = 0) or 1/x^p (q = 0) otherwise.  The terms are
+    computed once per (p, q), and every call returns the memo's tuple of
+    frozen terms: the memo grows by one entry of at most p+q terms per
+    distinct (p, q).  It is typed, so 2.0 for 2 is refused, not served.  A
+    p+q above MAX_PARTIAL_FRACTION_TERMS = 2**12 is a ValueError, raised
+    before any binomial is computed.
     """
-    return list(_partial_fraction(p, q))
-
-
-@lru_cache(maxsize=None, typed=True)
-def _partial_fraction(p: int, q: int) -> tuple[PartialFractionTerm, ...]:
-    """partial_fraction's terms, computed once per (p, q): the memo grows
-    by one entry of at most p+q terms per distinct (p, q).  It is typed, so
-    2.0 for 2 is refused, not served."""
     if not isinstance(p, int) or not isinstance(q, int) or p < 0 or q < 0 or p + q == 0:
         raise ValueError("partial_fraction requires integers p, q >= 0 with p+q > 0")
     if p + q > MAX_PARTIAL_FRACTION_TERMS:
@@ -218,10 +210,6 @@ class Decomposition:
                 raise ValueError(f"duplicate term key {k}; terms must be merged")
             seen.add(k)
 
-    @property
-    def weight(self) -> int:
-        return self.index.weight
-
     def coefficient_sum(self) -> int:
         return sum(t.coefficient for t in self.terms)
 
@@ -232,39 +220,25 @@ class Decomposition:
         return [t.record() for t in self.terms]
 
 
-def _expansion(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> list[tuple[int, tuple]]:
-    """(coefficient, LiTerm key) per partial_fraction(p, q) term, in its
-    order: c/(x^e (x+y)^f) as c*Li[r+f, e](alpha*beta, 1/alpha) and
-    c/(y^e (x+y)^f) as c*Li[r+f, e](beta, alpha)."""
-    ab = root_mul(alpha, beta)
-    ai = root_inv(alpha)
-    return [
-        (pf.coefficient, (index.r + pf.sum_exp, pf.x_exp, ab, ai))
-        if pf.x_exp
-        else (pf.coefficient, (index.r + pf.sum_exp, pf.y_exp, beta, alpha))
-        for pf in _partial_fraction(index.p, index.q)
-    ]
-
-
-def expansion_terms(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> list[LiTerm]:
-    """Unmerged decomposition terms in display order (_expansion)."""
-    return [LiTerm(c, *key) for c, key in _expansion(index, alpha, beta)]
-
-
 def decompose(index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity) -> Decomposition:
     """Exact rewrite of the colored double series into Li terms.
 
-    Terms with identical (s, t, x, y) are merged by summing coefficients;
-    the first occurrence fixes the display position.  Each LiTerm is built
-    once, after the merge, and the partial fractions of (p, q) come from
-    _partial_fraction's memo, so a call computes no binomial that an
-    earlier call with the same (p, q) computed.
+    Each partial_fraction(p, q) term, in its order, becomes one Li term:
+    c/(x^e (x+y)^f) becomes c*Li[r+f, e](alpha*beta, 1/alpha) and
+    c/(y^e (x+y)^f) becomes c*Li[r+f, e](beta, alpha).  Terms with
+    identical (s, t, x, y) are merged by summing coefficients; the first
+    occurrence fixes the display position.  Each LiTerm is built once,
+    after the merge, and the partial fractions come from partial_fraction's
+    memo, so a call computes no binomial that an earlier call with the same
+    (p, q) computed.
     """
+    ab, ai = root_mul(alpha, beta), root_inv(alpha)
     merged: dict[tuple, int] = {}
-    for c, key in _expansion(index, alpha, beta):
-        merged[key] = merged.get(key, 0) + c
-    terms = tuple(LiTerm(c, *key) for key, c in merged.items())
-    return Decomposition(index, alpha, beta, terms)
+    for pf in partial_fraction(index.p, index.q):
+        s = index.r + pf.sum_exp
+        key = (s, pf.x_exp, ab, ai) if pf.x_exp else (s, pf.y_exp, beta, alpha)
+        merged[key] = merged.get(key, 0) + pf.coefficient
+    return Decomposition(index, alpha, beta, tuple(LiTerm(c, *key) for key, c in merged.items()))
 
 
 @dataclass(frozen=True)

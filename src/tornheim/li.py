@@ -168,7 +168,7 @@ def hurwitz_tail(s: int, w: float, order: int = 8) -> tuple[float, float]:
     # Terms from w + j >= 1.01 * 2^(1080/s) on are below 2^-1080: they round to 0.0 and change no fsum.
     nonzero = range(min(extra, math.ceil(1.01 * 2.0 ** (1080 / s) - w)))
     try:
-        head = fsum((w + j) ** -s for j in nonzero) if extra else 0.0
+        head = fsum((w + j) ** -s for j in nonzero)
     except OverflowError:
         raise ValueError(f"hurwitz_tail: (w+j)^-s at s = {s}, w = {w!r} overflows the double range") from None
     a = w + extra
@@ -358,7 +358,11 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
                 cj *= c
                 signed_pref = -signed_pref
                 # Geometric majorant on the rest of the j-series; the term
-                # ratio (sigma+j)/(j+1) * c/n0 decreases in j.
+                # ratio (sigma+j)/(j+1) * c/n0 decreases in j.  The loop
+                # needs no cap on j: eval_li keeps n0 >= 2*ord x + 1 and
+                # c <= ord x <= 2**16, so lam_cap < 2^-j/n0 rounds to 0.0 by
+                # j of about 1075, and c^j stays below the double range
+                # (under 2^1011) at every j before that exit.
                 omega = t + sigma + j
                 lam_cap = float(cj) * nf ** (1 - omega)  # c^j * bound scale, kept paired
                 if lam_cap == 0.0:
@@ -378,8 +382,6 @@ def _tail_schedule(s: int, t: int, nx: int, n0: int) -> tuple[tuple[int, ...], n
                     pos.append(0)
                     weights.append(major / (1.0 - ratio))
                     break
-                if j > 2000:
-                    raise RuntimeError("binomial re-expansion failed to converge")
     where = np.array([rungs, pos], dtype=np.min_scalar_type(max(nx, max(rungs))))
     return tuple(sorted(set(rungs) - {0})), _read_only(np.array(weights)), _read_only(where)
 
@@ -615,14 +617,20 @@ def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> Va
     """Evaluate a decomposition term by term, combining in its term order.
 
     A coefficient beyond the double range is refused first, before any Li
-    value is computed.  Then one eval_li call per term, each handed d.terms
-    as its batch, all made before any term is combined: the first miss of
-    a color group (x, y) computes every uncached term of the group in one
-    batch, in term order, and every value the batch computes is asked for
-    even when combine then raises.
+    value is computed, and so is an alpha, beta or alpha*beta of order above
+    MAX_ROOT_ORDER, named as the caller gave it: every term color x, y and
+    product x*y is one of these or an inverse, so this refuses exactly the
+    decompositions eval_li would.  Then one eval_li call per term, each
+    handed d.terms as its batch, all made before any term is combined: the
+    first miss of a color group (x, y) computes every uncached term of the
+    group in one batch, in term order, and every value the batch computes
+    is asked for even when combine then raises.
     """
     for u in d.terms:
         _coefficient(u.coefficient)
+    a, b = d.alpha, d.beta
+    if a.order * b.order > MAX_ROOT_ORDER:  # as in eval_li: the product bounds all three orders
+        _check_root_orders("eval_decomposition", alpha=a, beta=b, **{f"alpha*beta = ({a})*({b})": root_mul(a, b)})
     values = [eval_li(u.s, u.t, u.x, u.y, cfg, batch=d.terms) for u in d.terms]
     return ValueWithError.combine((u.coefficient, v) for u, v in zip(d.terms, values))
 

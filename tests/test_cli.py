@@ -125,7 +125,24 @@ def test_root_order_over_limit_exits_2(command, capsys):
     assert "MAX_ROOT_ORDER = 2**16" in capsys.readouterr().err
 
 
-def test_decompose_above_the_partial_fraction_cap_exits_2_without_traceback():
+@pytest.mark.parametrize(
+    "alpha, beta, named",
+    [
+        ("1/65536", "1/3", "eval_decomposition: alpha*beta = (1/65536)*(1/3) = 65539/196608 has order 196608"),
+        ("1/131072", "1/1", "eval_decomposition: alpha = 1/131072 has order 131072"),
+    ],
+)
+def test_eval_refusal_names_the_colors_given(alpha, beta, named):
+    # A term color or product above MAX_ROOT_ORDER is alpha, beta, alpha*beta
+    # or an inverse; the refusal names those, not a Li argument x.
+    args = ["eval", "--p", "2", "--q", "1", "--r", "2", "--alpha", alpha, "--beta", beta]
+    proc = subprocess.run([sys.executable, "-m", "tornheim", *args], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {named} > MAX_ROOT_ORDER = 2**16\n"
+    assert "alpha" in proc.stderr and "eval_li: x =" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_decompose_above_the_p_plus_q_cap_exits_2_without_traceback():
     # Expanding (8000, 8000) takes about a minute and gives coefficients
     # beyond Python's 4300-digit printing limit; the refusal comes before
     # any binomial is computed.

@@ -11,6 +11,7 @@ from tornheim import (
     binomial,
     decompose,
     enumerate_indices,
+    partial_fraction,
     r_decomposition,
     root_inv,
     root_mul,
@@ -18,7 +19,6 @@ from tornheim import (
     term_from_record,
     to_level2,
 )
-from tornheim.decompose import expansion_terms
 
 I = RootOfUnity(1, 4)
 W3 = RootOfUnity(1, 3)
@@ -93,7 +93,7 @@ class TestDecompose:
     def test_unmerged_term_count_is_p_plus_q(self):
         for idx in enumerate_indices(9):
             if idx.p >= 1 and idx.q >= 1:
-                assert len(expansion_terms(idx, MINUS_ONE, ONE)) == idx.p + idx.q
+                assert len(partial_fraction(idx.p, idx.q)) == idx.p + idx.q
 
     def test_coefficient_sum_and_weights(self):
         for p in range(1, 9):
@@ -122,9 +122,16 @@ class TestDecompose:
             assert len(keys) == len(set(keys))
 
     def test_display_order_first_family_then_second(self):
-        d = decompose(MTIndex(3, 2, 2), MINUS_ONE, ONE)
-        raw = expansion_terms(MTIndex(3, 2, 2), MINUS_ONE, ONE)
-        assert [t.key() for t in d.terms] == [t.key() for t in raw]  # no merges here
+        # c/(x^e (x+y)^f) -> Li[r+f, e](alpha*beta, 1/alpha), c/(y^e (x+y)^f) -> Li[r+f, e](beta, alpha)
+        alpha, beta, r = MINUS_ONE, ONE, 2
+        d = decompose(MTIndex(3, 2, r), alpha, beta)
+        raw = [
+            (r + pf.sum_exp, pf.x_exp, root_mul(alpha, beta), root_inv(alpha))
+            if pf.x_exp
+            else (r + pf.sum_exp, pf.y_exp, beta, alpha)
+            for pf in partial_fraction(3, 2)
+        ]
+        assert [t.key() for t in d.terms] == raw  # no merges here
 
     def test_literm_validation(self):
         with pytest.raises(ValueError):

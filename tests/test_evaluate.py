@@ -1628,6 +1628,21 @@ class TestConfigAndValue:
             eval_li(2, 1, RootOfUnity(1, MAX_ROOT_ORDER), W3)
         assert calls == [] and eval_li.cache_info() == (0, 0, None, 0)
 
+    def test_eval_decomposition_names_the_colors_before_any_eval_li_call(self, monkeypatch):
+        # The product alpha*beta is the first family's Li color x: refused
+        # under the colors the caller gave, with no eval_li call made.
+        calls = []
+        monkeypatch.setattr(li, "eval_li", lambda *a, **k: calls.append(a) or eval_li(*a, **k))
+        eval_li.cache_clear()
+        d = decompose(MTIndex(2, 1, 2), RootOfUnity(1, MAX_ROOT_ORDER), W3)
+        message = (
+            r"eval_decomposition: alpha\*beta = \(1/65536\)\*\(1/3\) = 65539/196608"
+            r" has order 196608 > MAX_ROOT_ORDER = 2\*\*16"
+        )
+        with pytest.raises(ValueError, match=message):
+            eval_decomposition(d)
+        assert calls == [] and eval_li.cache_info() == (0, 0, None, 0)
+
     def test_oracle_builds_only_the_root_powers_it_reads(self, monkeypatch):
         # n < cutoff reads alpha^(n mod ord alpha) and k <= cutoff reads
         # beta^(k mod ord beta): a root of order 2**16 at cutoff 8 builds

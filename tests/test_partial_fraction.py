@@ -68,7 +68,7 @@ def test_each_term_names_its_variable():
     for p in range(1, 5):
         for q in range(1, 5):
             terms = partial_fraction(p, q)
-            assert [t.variable for t in terms] == ["x"] * p + ["y"] * q
+            assert [t.x_exp > 0 for t in terms] == [True] * p + [False] * q
 
 
 def test_zero_exponent_gives_one_term():
@@ -99,7 +99,7 @@ def test_refuses_p_plus_q_above_the_cap_before_any_binomial(monkeypatch):
     assert binomials == []
     assert [(t.x_exp, t.y_exp) for t in partial_fraction(cap, 0)] == [(cap, 0)]
     assert len(partial_fraction(cap - 1, 1)) == cap
-    decompose_module._partial_fraction.cache_clear()
+    partial_fraction.cache_clear()
 
 
 def test_one_evaluation_per_p_and_q(monkeypatch):
@@ -119,22 +119,23 @@ def test_one_evaluation_per_p_and_q(monkeypatch):
 
     monkeypatch.setattr(decompose_module, "binomial", counting_binomial)
     monkeypatch.setattr(decompose_module.LiTerm, "__post_init__", counting_post_init)
-    decompose_module._partial_fraction.cache_clear()
+    partial_fraction.cache_clear()
     terms = 0
     indices = enumerate_indices(7)
     for idx in indices:
         for alpha, beta in [(ONE, ONE), (MINUS_ONE, ONE), (RootOfUnity(1, 4), RootOfUnity(1, 3))]:
             terms += len(decompose(idx, alpha, beta).terms)
     pq = {(idx.p, idx.q) for idx in indices}
-    assert decompose_module._partial_fraction.cache_info().misses == len(pq)
+    assert partial_fraction.cache_info().misses == len(pq)
     assert len(binomials) == sum(p + q for p, q in pq)
     assert len(built) == terms
-    decompose_module._partial_fraction.cache_clear()
+    partial_fraction.cache_clear()
 
 
-def test_each_call_returns_a_fresh_list():
+def test_each_call_returns_the_memos_tuple():
+    # Frozen terms in a tuple: no caller can change what the memo keeps.
     first = partial_fraction(3, 2)
-    first.clear()
-    assert len(partial_fraction(3, 2)) == 5
-    assert partial_fraction(3, 2) is not partial_fraction(3, 2)
+    assert isinstance(first, tuple) and len(first) == 5
+    assert partial_fraction(3, 2) is first
+    assert partial_fraction.cache_info().hits >= 1
 
