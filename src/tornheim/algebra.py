@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class RootOfUnity:
     """The root of unity exp(2*pi*i * exponent/order), stored canonically.
 
@@ -19,9 +19,10 @@ class RootOfUnity:
     they are the same point on the unit circle.  The value 1 is (0, 1).
 
     The hash, that of the stored pair, is computed once at construction:
-    roots key every memo of the evaluator.  It is not a field, so == and
-    repr see the pair alone, and a pickle carries the pair and rebuilds the
-    root through the constructor.  The constructor writes the reduced pair
+    roots key every memo of the evaluator.  It is not a field, so repr sees
+    the pair alone, and a pickle carries the pair and rebuilds the root
+    through the constructor.  == compares the hashes first and then the
+    pair, without building tuples.  The constructor writes the reduced pair
     and the hash into the instance dict in one step, so a root costs no
     more to build than it did with the pair alone.
     """
@@ -41,6 +42,11 @@ class RootOfUnity:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RootOfUnity:
+            return NotImplemented
+        return self._hash == other._hash and self.exponent == other.exponent and self.order == other.order
 
     def __reduce__(self):
         return (RootOfUnity, (self.exponent, self.order))

@@ -203,9 +203,9 @@ class Decomposition:
         w = self.index.weight
         seen = set()
         for term in self.terms:
-            if term.weight != w:
+            if term.s + term.t != w:
                 raise ValueError(f"term {term.text()} breaks weight {w} conservation")
-            k = term.key()
+            k = (term.s, term.t, term.x, term.y)
             if k in seen:
                 raise ValueError(f"duplicate term key {k}; terms must be merged")
             seen.add(k)

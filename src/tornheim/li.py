@@ -71,7 +71,10 @@ Summation machinery, bottom up:
   Li value, and 1 float and 2 small integers per j-series term of a
   schedule.  One pass of the benchmark's eval workload holds about 1.3 MB
   of schedule arrays (1246 schedules, 126k terms) and 0.2 MB of root
-  powers.
+  powers.  A batch's scratch is O(its schedules): its rung table holds
+  only the rungs it reads, however high their omega, so Li[3*10**7, 1]
+  takes milliseconds and a few MB.  An Euler-Maclaurin set-up beyond the
+  double range (_em_params, from s of about 1.04e17) is a ValueError.
 
 Summation: math.fsum (exactly rounded) combines the scalar series
 (hurwitz_tail's head, tail_sum's residue row).  The head and tail rows are
@@ -132,18 +135,29 @@ def _rising(s: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _em_params(s: int, half_order: int) -> tuple[tuple[float, ...], float, float]:
-    """(correction coefficients, remainder coefficient, minimal EM start A)."""
-    betas = tuple(
-        float(_BERNOULLI[2 * l] * _rising(s, 2 * l - 1) / math.factorial(2 * l))
-        for l in range(1, half_order + 1)
-    )
-    bhat = float(
-        abs(_BERNOULLI[2 * half_order + 2])
-        * _rising(s, 2 * half_order + 1)
-        / math.factorial(2 * half_order + 2)
-    )
-    # First omitted term <= 1e-16 * leading term A^(1-s)/(s-1).
-    a_min = (bhat * (s - 1) / 1e-16) ** (1.0 / (2 * half_order + 2))
+    """(correction coefficients, remainder coefficient, minimal EM start A).
+
+    A coefficient or start beyond the double range is a ValueError naming
+    s: at order 16 from s of about 1.04e17 on, at order 8 from about 9.85e29.
+    """
+    try:
+        betas = tuple(
+            float(_BERNOULLI[2 * l] * _rising(s, 2 * l - 1) / math.factorial(2 * l))
+            for l in range(1, half_order + 1)
+        )
+        bhat = float(
+            abs(_BERNOULLI[2 * half_order + 2])
+            * _rising(s, 2 * half_order + 1)
+            / math.factorial(2 * half_order + 2)
+        )
+        # First omitted term <= 1e-16 * leading term A^(1-s)/(s-1).
+        a_min = (bhat * (s - 1) / 1e-16) ** (1.0 / (2 * half_order + 2))
+    except OverflowError:
+        a_min = math.inf
+    if a_min == math.inf:
+        raise ValueError(
+            f"Euler-Maclaurin set-up of order {2 * half_order} at s = {s} is beyond the double range"
+        )
     return betas, bhat, max(4.0, a_min)
 
 
@@ -393,8 +407,10 @@ def _li_tail(
 
     Runs each _tail_schedule(s, t, ord x, n0) on the rungs lam of z = x*y
     and the phases x^c: the schedules are the rows of one array, padded
-    with zero weights on the sentinel, and the rung table is taken by
-    omega.  The terms are w*(x^c*lam) by _weighted_sums, each row summing
+    with zero weights on the sentinel, and the rung table, the rungs the
+    batch reads with the sentinel first and then by omega, is gathered at
+    each entry's omega (np.searchsorted), so its size does not grow with s.
+    The terms are w*(x^c*lam) by _weighted_sums, each row summing
     its own schedule, and the bound increments |w|*(bound of lam)
     accumulate in loop order after the shape's bound from bounds; the
     padding adds exact zeros to both.  _li_batch's 32*eps*mass = 64u*mass
@@ -410,12 +426,13 @@ def _li_tail(
     """
     schedules = [_tail_schedule(s, t, x.order, n0) for s, t in shapes]
     z = root_mul(x, y)
-    # Real part, imaginary part and bound of each rung, by omega; omega 0 is
-    # the sentinel.
-    lam = [(0.0, 0.0, 1.0)] * (max(omegas[-1] for omegas, _, _ in schedules) + 1)
-    for omega in set().union(*(omegas for omegas, _, _ in schedules)):
+    # Real part, imaginary part and bound of each rung the batch reads, in
+    # the order of omega after the sentinel, omega 0.
+    omegas = [0] + sorted(set().union(*(omegas for omegas, _, _ in schedules)))
+    lam = [(0.0, 0.0, 1.0)]
+    for omega in omegas[1:]:
         v = tail_sum(omega, z, n0, _LADDER_ORDER)
-        lam[omega] = v.value.real, v.value.imag, v.error_bound
+        lam.append((v.value.real, v.value.imag, v.error_bound))
     lam = np.array(lam).T
     sizes = [len(w) for _, w, _ in schedules]
     w = np.zeros((len(shapes), max(sizes)))
@@ -423,7 +440,7 @@ def _li_tail(
     for i, (_, wi, wherei) in enumerate(schedules):
         w[i, : sizes[i]] = wi
         where[:, i, : sizes[i]] = wherei
-    lam = lam.take(where[0], axis=1)
+    lam = lam.take(np.searchsorted(omegas, where[0]), axis=1)
     sums = _weighted_sums(_root_powers(x, x.order + 1).take(where[1], axis=1), lam[:2], w)
     incs = np.empty((len(shapes), max(sizes) + 1))  # the bound so far, then the increments
     incs[:, 0] = bounds

@@ -15,17 +15,28 @@ pass over these windows, cutoff^2/2 multiply-adds whatever the order,
 gives every class row, and OracleRows.recolor to another root of the same
 order contracts nothing; to a root of another order it is a fresh
 oracle_rows.  A higher order contracts the plain window against
-phase-weighted columns instead.  No index arrays are built and scratch
-memory is O(cutoff), at most about 40*cutoff doubles.  What the rows keep
-for beta is O(cutoff) per order of beta too: per order n, the class sums,
-at most 2*min(n, cutoff+1) doubles, on each rows object alone; a recolor
-shares only read-only arrays and the bound.
+phase-weighted columns instead.  Scratch memory is O(cutoff), at most
+about 40*cutoff doubles.  What the rows keep for beta is O(cutoff) per
+order of beta too: per order n, the class sums, at most 2*min(n, cutoff+1)
+doubles, and once the k^-r-weighted rows, 2*(cutoff-1) doubles, on each
+rows object alone; a recolor shares only read-only arrays and the bound.
+
+Two module memos serve every rows object, so a warm sweep case pays only
+for its own beta.  _class_index keeps, per (cutoff, ord beta), the bins of
+one np.bincount over both weighted rows: 2*(cutoff-1) indices of 8 bytes,
+at most _CLASS_INDEX_MEMO = 8 entries, so 128*(cutoff-1) bytes at the
+largest cutoff it holds (128 MiB at MAX_ORACLE_CUTOFF = 2**20, 125 KB at
+the grid's 1000).  _phase_table keeps root^c, c = 0..ord root, for the 80
+roots of order up to _MAX_CLASS_ORDER, at most 17 complex numbers each
+and 943 in all, under 60 KB; a root above that order builds its phases
+per call.
 
 The oracle shares no summation code with the decomposition path: it
 imports nothing from li.py, and it builds its phases root^j, for alpha and
-beta alike, by one rule of its own (_phases: root_value(root**j)).  After
-the class rows it multiplies and adds only reals, so its values have the
-same bits at every SIMD level.
+beta alike, by one rule of its own (_phases: root_value(root**j)).  Its
+two memos are its own: they read no Li memo, and eval_li.cache_clear()
+leaves them as they are.  After the class rows it multiplies and adds only
+reals, so its values have the same bits at every SIMD level.
 
 Summation: the oracle sums the terms of a diagonal's alpha class with
 numpy's own einsum loop, never BLAS, in an unspecified order that is fixed
@@ -51,6 +62,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from math import fsum
 
 import numpy as np
@@ -77,8 +89,15 @@ _BLOCK = 64
 _PARALLEL_FLOOR = 2**21
 
 # Highest alpha order whose oracle rows come from residue classes: its
-# class rows take order*(cutoff-1) doubles.
+# class rows take order*(cutoff-1) doubles.  Roots up to this order also
+# keep their phases (_phase_table).
 _MAX_CLASS_ORDER = 16
+
+# Entries of the class-index memo (_class_index), one per (cutoff, ord
+# beta), each 2*(cutoff-1) indices of 8 bytes.  A sweep reads one cutoff
+# and, in the grid, 4 orders of beta; 8 keeps a sweep over up to 8 orders
+# from evicting the entry it reads next.
+_CLASS_INDEX_MEMO = 8
 
 
 def _neg_int_pow(base: np.ndarray, e: int) -> np.ndarray:
@@ -237,10 +256,32 @@ def _class_rows(a: np.ndarray, b: np.ndarray, order: int, size: int) -> np.ndarr
     return buf[:, :size]
 
 
-def _phases(root: RootOfUnity, count: int) -> list[complex]:
+@lru_cache(maxsize=None)
+def _phase_table(root: RootOfUnity) -> tuple[complex, ...]:
+    """root_value(root**c) for c = 0..ord root, kept for roots of order up
+    to _MAX_CLASS_ORDER: 80 roots, at most 17 phases each."""
+    return tuple(root_value(root**c) for c in range(root.order + 1))
+
+
+def _phases(root: RootOfUnity, count: int) -> tuple[complex, ...]:
     """root^c = root_value(root**c) for c = 0..count-1, the oracle's one
-    phase rule for alpha and beta alike: it reads no Li-layer memo."""
-    return [root_value(root**c) for c in range(count)]
+    phase rule for alpha and beta alike: it reads no Li-layer memo.  A root
+    of order up to _MAX_CLASS_ORDER reads its _phase_table when count <=
+    ord root + 1, as every caller's count is; any other root or count is
+    computed per call."""
+    if root.order <= _MAX_CLASS_ORDER and count <= root.order + 1:
+        return _phase_table(root)[:count]
+    return tuple(root_value(root**c) for c in range(count))
+
+
+@lru_cache(maxsize=_CLASS_INDEX_MEMO)
+def _class_index(cutoff: int, n: int) -> tuple[np.ndarray, int]:
+    """The bins of OracleRows.class_sums for beta of order n: [k mod n,
+    m + k mod n] for k = 2..cutoff, read-only, and m, the number of classes
+    k mod n, which is the highest of them plus one (0 at cutoff 1)."""
+    classes = np.arange(2, cutoff + 1) % n
+    m = int(classes.max()) + 1 if len(classes) else 0
+    return _read_only(np.concatenate((classes, classes + m))), m
 
 
 def _combine(classes: np.ndarray, alpha: RootOfUnity) -> np.ndarray:
@@ -279,8 +320,10 @@ class OracleRows:
     per order n of beta (class_sums), computed the first time an order is
     read: they do not depend on beta's exponent.  That is O(cutoff) per
     order, it is not a memo of the Li layer, and each rows object, a
-    recolor too, has its own.  Threads sharing the rows may each compute
-    an entry once, with the same bits.
+    recolor too, has its own, as it has its own weighted rows, the k^-r-
+    weighted re and im rows end to end (2*(cutoff-1) doubles), built with
+    its first class sums.  Threads sharing the rows may each compute an
+    entry once, with the same bits.
     """
 
     index: MTIndex
@@ -294,16 +337,22 @@ class OracleRows:
     classes: np.ndarray | None
     sums: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def weighted(self) -> np.ndarray:
+        """re*kf then im*kf in one array: the terms the class sums add."""
+        return np.concatenate((self.re * self.kf, self.im * self.kf))
+
     def class_sums(self, n: int) -> tuple[list[float], list[float]]:
         """The real and imaginary S_c, c = k mod n: the k^-r-weighted re and
-        im rows summed per class in the order of k (np.bincount), at most
-        min(n, cutoff+1) each.  Computed once per (rows, n), kept in sums."""
+        im rows summed per class in the order of k, at most min(n, cutoff+1)
+        each.  One np.bincount over the weighted rows and _class_index(cutoff,
+        n) adds each bin from 0.0 in the order of k, so the bits are those of
+        one bincount per row.  Computed once per (rows, n), kept in sums."""
         got = self.sums.get(n)
         if got is None:
-            classes = np.arange(2, self.cutoff + 1) % n
-            got = self.sums[n] = tuple(
-                np.bincount(classes, weights=row * self.kf).tolist() for row in (self.re, self.im)
-            )
+            bins, m = _class_index(self.cutoff, n)
+            both = np.bincount(bins, weights=self.weighted).tolist()
+            got = self.sums[n] = (both[:m], both[m:])
         return got
 
     def recolor(self, alpha: RootOfUnity) -> OracleRows:
@@ -378,8 +427,8 @@ def eval_mt_direct(
     call: the value and bound are bit for bit those of the call without
     them.  The rows then compute the class sums once per order of beta
     (OracleRows.class_sums), so a call whose order the rows have seen
-    builds only its own phases (_phases) and combination, and what the
-    rows keep stays O(cutoff) per order.  Rows built for another index,
+    reads its phases (_phases) and builds only its own combination, and
+    what the rows keep stays O(cutoff) per order.  Rows built for another index,
     alpha or cutoff are a ValueError naming the field.
 
     The bound, the rows' own, is the color-independent absolute tail plus
@@ -430,10 +479,11 @@ def eval_mt_direct(
     cut = cfg.oracle_cutoff
     if rows is None:
         rows = oracle_rows(index, alpha, cfg)
-    for field, want in (("index", index), ("alpha", alpha), ("cutoff", cut)):
-        got = getattr(rows, field)
-        if got != want:
-            raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
+    if rows.alpha != alpha or rows.cutoff != cut or rows.index != index:
+        for field, want in (("index", index), ("alpha", alpha), ("cutoff", cut)):
+            got = getattr(rows, field)
+            if got != want:
+                raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
     sr, si = rows.class_sums(beta.order)
     phases = _phases(beta, len(sr))
     re = fsum([b.real * x for b, x in zip(phases, sr)] + [-b.imag * y for b, y in zip(phases, si)])

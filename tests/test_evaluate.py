@@ -367,6 +367,24 @@ class TestEvalLi:
             with pytest.raises(ValueError, match=r"max_inner_terms.*order 24"):
                 eval_li(2, 1, RootOfUnity(5, 24), ONE, EvalConfig(max_inner_terms=cap))
 
+    def test_a_high_weight_reads_only_its_rungs(self):
+        # The tail's rung table holds the rungs the batch reads, not one
+        # entry per omega up to the highest, so s = 3*10**7 takes no more
+        # than a few ms and MBs.
+        eval_li.cache_clear()
+        start = time.perf_counter()
+        v = eval_li(3 * 10**7, 1, MINUS_ONE, ONE)
+        assert time.perf_counter() - start < 1.0
+        assert v.value == 0.0 and 0.0 < v.error_bound < 1e-13
+
+    @pytest.mark.parametrize("s", [10**18, 10**20])
+    def test_euler_maclaurin_set_up_beyond_the_double_range_is_a_named_error(self, s):
+        # These used to raise OverflowError: math.ceil(inf) in hurwitz_tail
+        # at 10**18, a Fraction's float conversion at 10**20.
+        eval_li.cache_clear()
+        with pytest.raises(ValueError, match=rf"Euler-Maclaurin set-up of order 16 at s = {s + 1} is beyond the double range"):
+            eval_li(s + 1, 1, MINUS_ONE, ONE)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 12, 24])
     def test_every_cap_from_twice_order_plus_one_is_honest(self, order):
         x = RootOfUnity(1, order)
@@ -1171,10 +1189,13 @@ def _class_sum_reference(rows, beta):
 class TestBetaClassSums:
     # The value is the rows weighted per residue class of k mod ord beta,
     # summed in the order of k: bit for bit the plain-Python reference.
+    # The class sums, one bincount over both rows, are those of one
+    # bincount per row, their length too, at every order to 17.
     @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000, 16385])
     def test_value_equals_sequential_class_sums_bit_for_bit(self, cut):
         idx, cfg = MTIndex(1, 2, 2), EvalConfig(oracle_cutoff=cut)
-        betas = [RootOfUnity(1, n) for n in (1, 2, 3, 4, 8, 12)] + [RootOfUnity(7, MAX_ROOT_ORDER)]
+        betas = [RootOfUnity(1, n) for n in range(1, 18)] + [RootOfUnity(7, MAX_ROOT_ORDER)]
+        classes = np.arange(2, cut + 1)
         for alpha in (ONE, RootOfUnity(5, 12)):
             rows = oracle_rows(idx, alpha, cfg)
             for beta in betas:
@@ -1182,6 +1203,8 @@ class TestBetaClassSums:
                 got = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
                 assert repr(got.value) == repr(want), (alpha, beta)
                 assert got.error_bound == rows.bound
+                per_row = (np.bincount(classes % beta.order, weights=row * rows.kf).tolist() for row in (rows.re, rows.im))
+                assert rows.class_sums(beta.order) == tuple(per_row), (alpha, beta)
 
     @pytest.mark.parametrize("cut", [2, 17, 1000])
     def test_interleaved_orders_on_one_rows_and_its_recolor(self, cut):
@@ -1251,8 +1274,8 @@ class TestBetaClassSums:
 
     def test_one_class_sum_pass_per_rows_and_order(self, monkeypatch):
         # Over a weight-4 sweep each index has six rows objects (one per
-        # alpha) and betas of four orders: 24 class-sum passes of two
-        # bincounts each, not one pass per case (36 per index).
+        # alpha) and betas of four orders: 24 class-sum passes of one
+        # bincount each, not one pass per case (36 per index).
         calls, bincount = [0], np.bincount
 
         def counting(*args, **kwargs):
@@ -1262,7 +1285,45 @@ class TestBetaClassSums:
         monkeypatch.setattr(np, "bincount", counting)
         reports = cross_check_grid(4, [1, 2, 3, 4], EvalConfig(tolerance=1e-8, oracle_cutoff=100))
         assert len(reports) == 36 * len(enumerate_indices(4))
-        assert calls[0] == 2 * 6 * 4 * len(enumerate_indices(4))
+        assert calls[0] == 6 * 4 * len(enumerate_indices(4))
+
+
+class TestOracleMemos:
+    # The phases of roots up to the class cap and the class-sum bins per
+    # (cutoff, ord beta) are the oracle's own bounded memos.
+    def test_phase_memo_holds_no_root_above_the_cap(self):
+        oracle._phase_table.cache_clear()
+        idx, cfg = MTIndex(2, 1, 2), EvalConfig(oracle_cutoff=50)
+        big, above = RootOfUnity(1, MAX_ROOT_ORDER), RootOfUnity(2, oracle._MAX_CLASS_ORDER + 1)
+        for alpha in (big, above):
+            rows = oracle_rows(idx, alpha, cfg)
+            for beta in (big, above):
+                eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
+        assert oracle._phase_table.cache_info().currsize == 0
+        rows = oracle_rows(idx, W3, cfg)
+        eval_mt_direct(idx, W3, I, cfg, rows=rows)
+        eval_mt_direct(idx, W3, above, cfg, rows=rows)
+        assert oracle._phase_table.cache_info().currsize == 2
+
+    def test_class_index_memo_stays_within_its_bound(self):
+        oracle._class_index.cache_clear()
+        idx = MTIndex(2, 1, 2)
+        assert oracle._class_index.cache_info().maxsize == oracle._CLASS_INDEX_MEMO
+        for cut in (5, 40):
+            rows = oracle_rows(idx, ONE, EvalConfig(oracle_cutoff=cut))
+            for n in range(1, 3 * oracle._CLASS_INDEX_MEMO):
+                assert oracle._class_index.cache_info().currsize <= oracle._CLASS_INDEX_MEMO
+                got = eval_mt_direct(idx, ONE, RootOfUnity(1, n), EvalConfig(oracle_cutoff=cut), rows=rows)
+                assert repr(got.value) == repr(_class_sum_reference(rows, RootOfUnity(1, n)))
+        assert oracle._class_index.cache_info().currsize == oracle._CLASS_INDEX_MEMO
+
+    def test_li_cache_clear_leaves_the_oracle_memos(self):
+        cfg = EvalConfig(oracle_cutoff=100)
+        eval_mt_direct(MTIndex(1, 1, 2), W3, I, cfg)
+        before = oracle._phase_table.cache_info().currsize, oracle._class_index.cache_info().currsize
+        eval_li.cache_clear()
+        assert (oracle._phase_table.cache_info().currsize, oracle._class_index.cache_info().currsize) == before
+        assert min(before) > 0
 
 
 class TestOracleRowClasses:
