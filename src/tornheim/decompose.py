@@ -131,9 +131,17 @@ def partial_fraction(p: int, q: int) -> tuple[PartialFractionTerm, ...]:
     return tuple(t for t in terms if t.coefficient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LiTerm:
-    """coefficient * Li[s,t](x, y) with s on the outer index."""
+    """coefficient * Li[s,t](x, y) with s on the outer index.
+
+    The constructor refuses a coefficient below 1, s below 2 or t below 1,
+    or any of them not an int, and writes the fields into the instance
+    dict in one step, as RootOfUnity's does: ==, hash, repr,
+    dataclasses.replace and pickling are those of the plain frozen
+    dataclass.  Reading __dict__ gives each term a dict of its own, about
+    130 bytes more; terms are built per decomposition and seldom kept.
+    """
 
     coefficient: int
     s: int
@@ -141,13 +149,14 @@ class LiTerm:
     x: RootOfUnity
     y: RootOfUnity
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coefficient, int) or self.coefficient < 1:
+    def __init__(self, coefficient: int, s: int, t: int, x: RootOfUnity, y: RootOfUnity) -> None:
+        if not isinstance(coefficient, int) or coefficient < 1:
             raise ValueError("coefficient must be a positive integer")
-        if not isinstance(self.s, int) or self.s < 2:
+        if not isinstance(s, int) or s < 2:
             raise ValueError("outer exponent s must be an integer >= 2")
-        if not isinstance(self.t, int) or self.t < 1:
+        if not isinstance(t, int) or t < 1:
             raise ValueError("inner exponent t must be a positive integer")
+        self.__dict__.update(coefficient=coefficient, s=s, t=t, x=x, y=y)
 
     @property
     def weight(self) -> int:
@@ -190,25 +199,31 @@ def term_from_record(rec: dict) -> LiTerm:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
-    """An exact identity: the series at (index, alpha, beta) equals the terms."""
+    """An exact identity: the series at (index, alpha, beta) equals the terms.
+
+    The constructor refuses a term whose s + t is not the index's weight
+    and two terms with one key (s, t, x, y), and writes the fields into the
+    instance dict in one step, as LiTerm's does.
+    """
 
     index: MTIndex
     alpha: RootOfUnity
     beta: RootOfUnity
     terms: tuple[LiTerm, ...]
 
-    def __post_init__(self) -> None:
-        w = self.index.weight
+    def __init__(self, index: MTIndex, alpha: RootOfUnity, beta: RootOfUnity, terms: tuple[LiTerm, ...]) -> None:
+        w = index.weight
         seen = set()
-        for term in self.terms:
+        for term in terms:
             if term.s + term.t != w:
                 raise ValueError(f"term {term.text()} breaks weight {w} conservation")
             k = (term.s, term.t, term.x, term.y)
             if k in seen:
                 raise ValueError(f"duplicate term key {k}; terms must be merged")
             seen.add(k)
+        self.__dict__.update(index=index, alpha=alpha, beta=beta, terms=terms)
 
     def coefficient_sum(self) -> int:
         return sum(t.coefficient for t in self.terms)

@@ -129,6 +129,11 @@ _HEAD_ORDER = 8
 _LADDER_ORDER = 16
 
 
+class _SetUpRangeError(ValueError):
+    """An Euler-Maclaurin set-up beyond the double range (_em_params), which
+    eval_decomposition names by the index its caller gave."""
+
+
 def _rising(s: int, k: int) -> int:
     return math.prod(range(s, s + k))
 
@@ -155,7 +160,7 @@ def _em_params(s: int, half_order: int) -> tuple[tuple[float, ...], float, float
     except OverflowError:
         a_min = math.inf
     if a_min == math.inf:
-        raise ValueError(
+        raise _SetUpRangeError(
             f"Euler-Maclaurin set-up of order {2 * half_order} at s = {s} is beyond the double range"
         )
     return betas, bhat, max(4.0, a_min)
@@ -507,11 +512,12 @@ class _LiMemo:
     nothing) with the same colors (x, y) that are not known yet, taken in
     term order.  Every value the batch computes is stored, and computed
     counts them: one head tail_sum call each, inside the eval_li span of
-    the miss.  calls counts the calls that returned a value.  info() reads
-    computed as the misses and the other calls as the hits, so hits +
-    misses = calls once every term of a batch has been asked for, as
-    eval_decomposition asks for all its terms before it combines them.  A
-    call that raises counts as neither.
+    the miss.  calls counts the calls that returned a value: eval_li reads
+    a hit from values itself, leaves any other key to miss and counts the
+    call.  info() reads computed as the misses and the other calls as the
+    hits, so hits + misses = calls once every term of a batch has been
+    asked for, as eval_decomposition asks for all its terms before it
+    combines them.  A call that raises counts as neither.
 
     A key whose conjugate (s, t, conj x, conj y, n0) is stored is served
     as the conjugate of that value with its bound, when both of the
@@ -545,29 +551,26 @@ class _LiMemo:
             return None
         return ValueWithError(v.value.conjugate(), v.error_bound)
 
-    def get(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, batch: tuple[LiTerm, ...]) -> ValueWithError:
+    def miss(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, batch: tuple[LiTerm, ...]) -> ValueWithError:
+        """The value of a key not in values, mirrored or computed, then stored."""
         key = (s, t, x, y, n0)
-        v = self.values.get(key)
-        if v is None:
-            xc, yc = x.conjugate(), y.conjugate()
-            v = self._mirror(s, t, xc, yc, n0)
-            if v is not None:
-                self.values[key] = v
-            else:
-                shapes = [(s, t)] + [
-                    (u.s, u.t)
-                    for u in batch
-                    if (u.x, u.y) == (x, y)
-                    and (u.s, u.t) != (s, t)
-                    and (u.s, u.t, x, y, n0) not in self.values
-                    and self._mirror(u.s, u.t, xc, yc, n0) is None
-                ]
-                for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
-                    self.values[si, ti, x, y, n0] = ValueWithError(value, bound)
-                self.computed += len(shapes)
-                v = self.values[key]
-        self.calls += 1
-        return v
+        xc, yc = x.conjugate(), y.conjugate()
+        v = self._mirror(s, t, xc, yc, n0)
+        if v is not None:
+            self.values[key] = v
+            return v
+        shapes = [(s, t)] + [
+            (u.s, u.t)
+            for u in batch
+            if (u.x, u.y) == (x, y)
+            and (u.s, u.t) != (s, t)
+            and (u.s, u.t, x, y, n0) not in self.values
+            and self._mirror(u.s, u.t, xc, yc, n0) is None
+        ]
+        for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
+            self.values[si, ti, x, y, n0] = ValueWithError(value, bound)
+        self.computed += len(shapes)
+        return self.values[key]
 
 
 _li_memo = _LiMemo()
@@ -613,7 +616,13 @@ def eval_li(
             f"max_inner_terms = {cfg.max_inner_terms} is below 2*order+1 = {2 * x.order + 1}"
             f" for a root x of order {x.order}; the tail expansion needs n0 > 2*order"
         )
-    return _li_memo.get(s, t, x, y, _head_length(x, cfg), batch)
+    n0 = _head_length(x, cfg)
+    memo = _li_memo
+    v = memo.values.get((s, t, x, y, n0))
+    if v is None:
+        v = memo.miss(s, t, x, y, n0, batch)
+    memo.calls += 1
+    return v
 
 
 _LI_MEMOS = (_hurwitz_row, tail_sum, _inv_powers, _root_powers, _tail_schedule)
@@ -641,14 +650,22 @@ def eval_decomposition(d: Decomposition, cfg: EvalConfig = DEFAULT_CONFIG) -> Va
     handed d.terms as its batch, all made before any term is combined: the
     first miss of a color group (x, y) computes every uncached term of the
     group in one batch, in term order, and every value the batch computes
-    is asked for even when combine then raises.
+    is asked for even when combine then raises.  A term whose
+    Euler-Maclaurin set-up is beyond the double range is a ValueError naming
+    MT(p,q,r) as the caller gave it, not the s of the term that raised.
     """
     for u in d.terms:
         _coefficient(u.coefficient)
     a, b = d.alpha, d.beta
     if a.order * b.order > MAX_ROOT_ORDER:  # as in eval_li: the product bounds all three orders
         _check_root_orders("eval_decomposition", alpha=a, beta=b, **{f"alpha*beta = ({a})*({b})": root_mul(a, b)})
-    values = [eval_li(u.s, u.t, u.x, u.y, cfg, batch=d.terms) for u in d.terms]
+    try:
+        values = [eval_li(u.s, u.t, u.x, u.y, cfg, batch=d.terms) for u in d.terms]
+    except _SetUpRangeError:
+        raise ValueError(
+            f"eval_decomposition: MT{d.index} needs an Euler-Maclaurin set-up beyond the double range"
+            f" for its Li terms of weight {d.index.weight}"
+        ) from None
     return ValueWithError.combine((u.coefficient, v) for u, v in zip(d.terms, values))
 
 

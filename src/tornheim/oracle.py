@@ -20,16 +20,21 @@ about 40*cutoff doubles.  What the rows keep for beta is O(cutoff) per
 order of beta too: per order n, the class sums, at most 2*min(n, cutoff+1)
 doubles, and once the k^-r-weighted rows, 2*(cutoff-1) doubles, on each
 rows object alone; a recolor shares only read-only arrays and the bound.
+A recolor to the conjugate of its rows' alpha starts with their class sums,
+the imaginary parts negated: root_value makes the phases of conjugate
+roots exact conjugates, so that is the conjugate's own class sums to the
+bit, and cross_check_grid's rows of 2/3 and 3/4 run no class-sum pass.
 
 Two module memos serve every rows object, so a warm sweep case pays only
 for its own beta.  _class_index keeps, per (cutoff, ord beta), the bins of
 one np.bincount over both weighted rows: 2*(cutoff-1) indices of 8 bytes,
 at most _CLASS_INDEX_MEMO = 8 entries, so 128*(cutoff-1) bytes at the
 largest cutoff it holds (128 MiB at MAX_ORACLE_CUTOFF = 2**20, 125 KB at
-the grid's 1000).  _phase_table keeps root^c, c = 0..ord root, for the 80
-roots of order up to _MAX_CLASS_ORDER, at most 17 complex numbers each
-and 943 in all, under 60 KB; a root above that order builds its phases
-per call.
+the grid's 1000).  _phase_table keeps root^c, c = 0..ord root, as a tuple
+of real parts and one of imaginary parts, for the 80 roots of order up to
+_MAX_CLASS_ORDER, at most 17 phases each and 943 in all: 1886 doubles in
+160 tuples, about 71 KB.  A root above that order builds its phases per
+call.
 
 The oracle shares no summation code with the decomposition path: it
 imports nothing from li.py, and it builds its phases root^j, for alpha and
@@ -63,12 +68,14 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import fsum
+from operator import mul, neg
 
 import numpy as np
 
 from .algebra import RootOfUnity, root_value
-from .bounds import _EPS, DEFAULT_CONFIG, EvalConfig, ValueWithError, _check_root_orders, _read_only
+from .bounds import _EPS, DEFAULT_CONFIG, MAX_ROOT_ORDER, EvalConfig, ValueWithError, _check_root_orders, _read_only
 from .decompose import MTIndex
 
 # Window rows per block of every oracle contraction (_contract), every
@@ -138,7 +145,8 @@ def oracle_tail_bound(p: int, q: int, r: int, cutoff: int) -> float:
     (2/(K+1))^(w-1) (1 + (K+1)/(w-2)) < 2^-580 times 2^-r, the k = 2 term
     of the mass.  That is far below the slack of at least 35u*mass that the
     roundoff allowance eps*(cutoff+64)*mass keeps (eval_mt_direct), as long
-    as 2^-r is a normal double, the allowance's own no-underflow premise.
+    as 2^-r is a normal double, the allowance's own no-underflow premise,
+    which oracle_rows enforces by refusing r >= 1023.
     """
     kk = float(cutoff)
 
@@ -256,22 +264,30 @@ def _class_rows(a: np.ndarray, b: np.ndarray, order: int, size: int) -> np.ndarr
     return buf[:, :size]
 
 
+def _phase_parts(root: RootOfUnity, count: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The real parts and the imaginary parts of root_value(root**c), c = 0..count-1."""
+    values = [root_value(root**c) for c in range(count)]
+    return tuple(v.real for v in values), tuple(v.imag for v in values)
+
+
 @lru_cache(maxsize=None)
-def _phase_table(root: RootOfUnity) -> tuple[complex, ...]:
-    """root_value(root**c) for c = 0..ord root, kept for roots of order up
-    to _MAX_CLASS_ORDER: 80 roots, at most 17 phases each."""
-    return tuple(root_value(root**c) for c in range(root.order + 1))
+def _phase_table(root: RootOfUnity) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """_phase_parts(root, ord root + 1), kept for roots of order up to
+    _MAX_CLASS_ORDER: 80 roots, at most 17 phases each."""
+    return _phase_parts(root, root.order + 1)
 
 
-def _phases(root: RootOfUnity, count: int) -> tuple[complex, ...]:
-    """root^c = root_value(root**c) for c = 0..count-1, the oracle's one
-    phase rule for alpha and beta alike: it reads no Li-layer memo.  A root
-    of order up to _MAX_CLASS_ORDER reads its _phase_table when count <=
-    ord root + 1, as every caller's count is; any other root or count is
-    computed per call."""
+def _phases(root: RootOfUnity, count: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The real parts and the imaginary parts of root^c = root_value(root**c)
+    for c = 0..count-1, the oracle's one phase rule for alpha and beta
+    alike: it reads no Li-layer memo.  A root of order up to
+    _MAX_CLASS_ORDER reads its _phase_table when count <= ord root + 1, as
+    every caller's count is; any other root or count is computed per call.
+    Either way the parts are the doubles of the complex phase."""
     if root.order <= _MAX_CLASS_ORDER and count <= root.order + 1:
-        return _phase_table(root)[:count]
-    return tuple(root_value(root**c) for c in range(count))
+        re, im = _phase_table(root)
+        return re[:count], im[:count]
+    return _phase_parts(root, count)
 
 
 @lru_cache(maxsize=_CLASS_INDEX_MEMO)
@@ -288,8 +304,8 @@ def _combine(classes: np.ndarray, alpha: RootOfUnity) -> np.ndarray:
     """The rows re, im, mod: sum_c Re(alpha^c)*C_c, sum_c Im(alpha^c)*C_c and
     sum_c C_c, c = 1..ord alpha, a real product per class added in the
     order of c."""
-    phases = np.array(_phases(alpha, len(classes) + 1)[1:])
-    weights = np.array([phases.real, phases.imag, np.ones(len(phases))])
+    re, im = _phases(alpha, len(classes) + 1)
+    weights = np.array([re[1:], im[1:], np.ones(len(classes))])
     rows = weights[:, :1] * classes[0]
     for c in range(1, len(classes)):
         rows += weights[:, c : c + 1] * classes[c]
@@ -322,7 +338,9 @@ class OracleRows:
     order, it is not a memo of the Li layer, and each rows object, a
     recolor too, has its own, as it has its own weighted rows, the k^-r-
     weighted re and im rows end to end (2*(cutoff-1) doubles), built with
-    its first class sums.  Threads sharing the rows may each compute an
+    its first class sums.  A recolor to the conjugate alpha starts with
+    the entries its rows hold then, converted (recolor), and computes any
+    other order itself.  Threads sharing the rows may each compute an
     entry once, with the same bits.
     """
 
@@ -360,13 +378,27 @@ class OracleRows:
         stored class rows, contracts nothing and shares the read-only
         classes, mod and kf and the bound; any other is a fresh
         oracle_rows(index, alpha) at this cutoff.  Either way the bits are
-        those of a fresh oracle_rows."""
+        those of a fresh oracle_rows.
+
+        The conjugate of this rows' alpha (the same order, above 2) also
+        starts with the class sums of every order this rows object holds,
+        read from a copy of sums: the real parts as they are and each
+        imaginary part y as -y + 0.0.  The conjugate's rows are re and -im
+        to the bit, up to the sign of a zero (the phases of conjugate roots
+        are exact conjugates), and each bin of np.bincount starts at +0.0
+        and adds in k order, so its sums are the real sums and the negated
+        imaginary ones, a zero being +0.0 whatever its terms' signs.  That
+        is -y + 0.0, so the sums are bit for bit what the conjugate's
+        class_sums would compute."""
         if alpha == self.alpha:
             return self
         if alpha.order != self.alpha.order or self.classes is None:
             return oracle_rows(self.index, alpha, EvalConfig(oracle_cutoff=self.cutoff))
         re, im, _ = _combine(self.classes, alpha)
-        return replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
+        rows = replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
+        if alpha == self.alpha.conjugate():
+            rows.sums.update((n, (sr, [-y + 0.0 for y in si])) for n, (sr, si) in self.sums.copy().items())
+        return rows
 
 
 def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
@@ -380,8 +412,19 @@ def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CO
     or 1180 above the cap) runs on min(CPUs the process may use, blocks)
     threads for the length of the call (_contract); the rows have the same
     bits at every count.
+
+    An r of 1023 or more is a ValueError, raised before any table is built:
+    the roundoff allowance eps*(cutoff+64)*mass and the tail bound's
+    argument (oracle_tail_bound) assume 2^-r, the scale of the k = 2 term,
+    is a normal double.  Past it both underflow, to 0.0 from about r =
+    1070, below the error they are to cover.
     """
     _check_root_orders("oracle_rows", alpha=alpha)
+    if index.r >= 1023:
+        raise ValueError(
+            f"oracle_rows: r = {index.r} >= 1023: the oracle's roundoff allowance needs 2**-r,"
+            " the scale of its k = 2 term, to be a normal double"
+        )
     cut = cfg.oracle_cutoff
     size, order = cut - 1, alpha.order
     ns = np.arange(1, cut + _MAX_CLASS_ORDER, dtype=np.float64)
@@ -389,10 +432,10 @@ def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CO
     kf = _read_only(_neg_int_pow(np.arange(2, cut + 1, dtype=np.float64), index.r))
     if order > _MAX_CLASS_ORDER:
         classes = None
-        # alpha^n, n = 1..cutoff-1
-        phase = np.array(_phases(alpha, min(order, size + 1)))[np.arange(1, size + 1) % order]
+        # the real and imaginary parts of alpha^n, n = 1..cutoff-1
+        re, im = np.array(_phases(alpha, min(order, size + 1)))[:, np.arange(1, size + 1) % order]
         col = b[:size]
-        rows = _contract(_windows(a, 1, size), np.array([phase.real * col, phase.imag * col, col]))[0]
+        rows = _contract(_windows(a, 1, size), np.array([re * col, im * col, col]))[0]
     else:
         classes = _read_only(_class_rows(a, b, order, size))
         rows = _combine(classes, alpha)
@@ -417,19 +460,23 @@ def eval_mt_direct(
     weighted by k^-r and by beta^k = beta^c, c = k mod ord beta.  The
     weighted real and imaginary rows are summed per class c, sequentially
     in the order of k (np.bincount); the at most min(ord beta, cutoff+1)
-    class sums S_c are then combined with the real products of
-    beta^c = root_value(beta**c), each part in one fsum:
-    Re = sum_c Re(beta^c)*Re(S_c) - Im(beta^c)*Im(S_c), Im likewise.  Only
-    real products and additions of doubles occur after the rows, so the
-    value has the same bits at every SIMD level numpy dispatches to.
+    class sums S_c are then combined with the real products of the parts
+    of beta^c = root_value(beta**c) (_phases), each part in one fsum over
+    the products:
+    Re = sum_c Re(beta^c)*Re(S_c) - Im(beta^c)*Im(S_c), Im likewise.  fsum
+    is exactly rounded, so the order of its terms moves no bit.  Only real
+    products and additions of doubles occur after the rows, so the value
+    has the same bits at every SIMD level numpy dispatches to.
 
     A sweep over beta may pass the rows of its (index, alpha) to every
     call: the value and bound are bit for bit those of the call without
     them.  The rows then compute the class sums once per order of beta
-    (OracleRows.class_sums), so a call whose order the rows have seen
+    (OracleRows.class_sums), or take them from the rows of the conjugate
+    alpha they were recolored from, so a call whose order the rows hold
     reads its phases (_phases) and builds only its own combination, and
-    what the rows keep stays O(cutoff) per order.  Rows built for another index,
-    alpha or cutoff are a ValueError naming the field.
+    what the rows keep stays O(cutoff) per order.  Rows built for another
+    index, alpha or cutoff are a ValueError naming the field, and so is a
+    root of order above MAX_ROOT_ORDER (checked only for such an order).
 
     The bound, the rows' own, is the color-independent absolute tail plus
     eps*(cutoff+64)*mass = 2u*(cutoff+64)*mass, mass = sum_k (modulus row
@@ -475,17 +522,18 @@ def eval_mt_direct(
     the rows it bounds) are below u*mass for cutoff <= MAX_ORACLE_CUTOFF,
     so the total stays within the allowance (2*cutoff + 128)*u*mass.
     """
-    _check_root_orders("eval_mt_direct", alpha=alpha, beta=beta)
+    if alpha.order > MAX_ROOT_ORDER or beta.order > MAX_ROOT_ORDER:
+        _check_root_orders("eval_mt_direct", alpha=alpha, beta=beta)
     cut = cfg.oracle_cutoff
     if rows is None:
         rows = oracle_rows(index, alpha, cfg)
-    if rows.alpha != alpha or rows.cutoff != cut or rows.index != index:
+    if (rows.index, rows.alpha, rows.cutoff) != (index, alpha, cut):
         for field, want in (("index", index), ("alpha", alpha), ("cutoff", cut)):
             got = getattr(rows, field)
             if got != want:
                 raise ValueError(f"eval_mt_direct: rows were built for {field} {got}, not {want}")
     sr, si = rows.class_sums(beta.order)
-    phases = _phases(beta, len(sr))
-    re = fsum([b.real * x for b, x in zip(phases, sr)] + [-b.imag * y for b, y in zip(phases, si)])
-    im = fsum([b.real * y for b, y in zip(phases, si)] + [b.imag * x for b, x in zip(phases, sr)])
+    br, bi = _phases(beta, len(sr))
+    re = fsum(chain(map(mul, br, sr), map(mul, bi, map(neg, si))))
+    im = fsum(chain(map(mul, br, si), map(mul, bi, sr)))
     return ValueWithError(complex(re, im), rows.bound)

@@ -274,19 +274,22 @@ def cross_check_grid(
     beta: the index's first alpha builds them with oracle_rows, and each
     later alpha recolors the rows it follows.  Rows are built inside the
     timed window of their (index, alpha)'s first case, so every ms of the
-    sweep is charged to some case.
+    sweep is charged to some case.  A case's label is a per-index prefix
+    and a per-pair suffix, both formatted outside the timed windows.
     """
     grid_cases(max_weight, orders)
     reports = []
     pairs = color_pairs(orders)
+    suffixes = [f"{alpha},{beta})" for alpha, beta in pairs]
     for idx in enumerate_indices(max_weight):
         rows = None
-        for alpha, beta in pairs:
+        prefix = f"MT({idx.p},{idx.q},{idx.r};"
+        for (alpha, beta), suffix in zip(pairs, suffixes):
+            label = prefix + suffix
             t0 = time.perf_counter()
             rows = oracle_rows(idx, alpha, cfg) if rows is None else rows.recolor(alpha)
             oracle = eval_mt_direct(idx, alpha, beta, cfg, rows=rows)
             dec = eval_decomposition(decompose(idx, alpha, beta), cfg)
-            label = f"MT({idx.p},{idx.q},{idx.r};{alpha},{beta})"
             reports.append(_agreement(label, oracle, dec, t0))
     return reports
 

@@ -278,6 +278,29 @@ def test_oracle_bound_beyond_the_double_range_exits_2_without_traceback(pq):
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+def test_oracle_at_an_r_past_the_normal_range_exits_2_without_traceback():
+    # 2**-1070 is a subnormal: the oracle's bound used to underflow to 0
+    # and the command printed "-0.0000000000 ± 0" with exit 0.
+    argv = [sys.executable, "-m", "tornheim", "oracle", "--p", "2", "--q", "1", "--r", "1070", "--cutoff", "100"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: oracle_rows: r = 1070 >= 1023") and "normal double" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_beyond_the_euler_maclaurin_range_names_the_index_given():
+    # The refusal used to name s = r + 2, which appears nowhere on the
+    # command line.
+    r = "100000000000000000000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tornheim", "eval", "--p", "2", "--q", "1", "--r", r], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: eval_decomposition: MT(2,1,{r}) ")
+    assert "Euler-Maclaurin set-up beyond the double range" in proc.stderr
+    assert "100000000000000000002" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_eval_with_p_beyond_1023_agrees_with_the_oracle(capsys):
     # the command line's default colors, alpha = -1 and beta = 1
     idx, alpha, beta = MTIndex(2000, 1, 2), RootOfUnity(1, 2), RootOfUnity(0, 1)

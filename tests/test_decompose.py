@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from tornheim import (
@@ -8,6 +11,7 @@ from tornheim import (
     LiTerm,
     MTIndex,
     RootOfUnity,
+    ValueWithError,
     binomial,
     decompose,
     enumerate_indices,
@@ -160,6 +164,96 @@ class TestDecompose:
             Decomposition(
                 idx, MINUS_ONE, ONE, (LiTerm(1, 4, 1, ONE, ONE), LiTerm(2, 4, 1, ONE, ONE))
             )
+
+
+class TestFrozenConstructors:
+    # ValueWithError, LiTerm and Decomposition build their fields with a
+    # constructor of their own: it refuses what the plain frozen dataclass
+    # refused, with the same messages, coerces the same, and leaves ==,
+    # hash, repr, dataclasses.replace and pickling as they were.
+    @pytest.mark.parametrize(
+        "value, bound, msg",
+        [
+            (float("nan"), 0.0, "value must be finite"),
+            (complex(1.0, float("inf")), 0.0, "value must be finite"),
+            (complex(float("-inf"), 0.0), 0.0, "value must be finite"),
+            (1.0, float("inf"), "error bound must be finite and nonnegative"),
+            (1.0, float("nan"), "error bound must be finite and nonnegative"),
+            (1.0, -1e-300, "error bound must be finite and nonnegative"),
+        ],
+    )
+    def test_value_with_error_refusals(self, value, bound, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            ValueWithError(value, bound)
+
+    def test_value_with_error_coerces_as_before(self):
+        v = ValueWithError(1, 0)
+        assert type(v.value) is complex and type(v.error_bound) is float
+        assert (v.value, v.error_bound) == (1 + 0j, 0.0)
+        assert ValueWithError(error_bound=-0.0, value=2.5).error_bound == 0.0
+        with pytest.raises(TypeError):
+            ValueWithError(1.0)
+
+    @pytest.mark.parametrize(
+        "args, msg",
+        [
+            ((0, 4, 1, ONE, ONE), "coefficient must be a positive integer"),
+            ((2.0, 4, 1, ONE, ONE), "coefficient must be a positive integer"),
+            ((1, 1, 1, ONE, ONE), r"outer exponent s must be an integer >= 2"),
+            ((1, 4.0, 1, ONE, ONE), r"outer exponent s must be an integer >= 2"),
+            ((1, 4, 0, ONE, ONE), "inner exponent t must be a positive integer"),
+            ((1, 4, 1.0, ONE, ONE), "inner exponent t must be a positive integer"),
+        ],
+    )
+    def test_li_term_refusals(self, args, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            LiTerm(*args)
+
+    def test_li_term_takes_ints_as_before(self):
+        # An int subclass passes, as it passed the dataclass's checks, and
+        # is stored as given.
+        term = LiTerm(True, 4, 1, ONE, ONE)
+        assert term.coefficient is True and term == LiTerm(1, 4, 1, ONE, ONE)
+
+    def test_decomposition_refusals(self):
+        idx = MTIndex(1, 1, 3)
+        with pytest.raises(ValueError, match=r"^term Li\[4,2\]\(1,1\) breaks weight 5 conservation$"):
+            Decomposition(idx, MINUS_ONE, ONE, (LiTerm(1, 4, 2, ONE, ONE),))
+        dup = (LiTerm(1, 4, 1, ONE, ONE), LiTerm(2, 4, 1, ONE, ONE))
+        with pytest.raises(ValueError, match=r"^duplicate term key .*; terms must be merged$"):
+            Decomposition(idx, MINUS_ONE, ONE, dup)
+        # The first fault in term order is the one named.
+        with pytest.raises(ValueError, match="merged"):
+            Decomposition(idx, MINUS_ONE, ONE, dup + (LiTerm(1, 4, 2, ONE, ONE),))
+
+    @pytest.mark.parametrize(
+        "make, change",
+        [
+            (lambda: ValueWithError(0.25 - 0.5j, 1e-16), {"error_bound": 2e-16}),
+            (lambda: LiTerm(3, 4, 1, I, W3), {"coefficient": 5}),
+            (lambda: decompose(MTIndex(2, 1, 2), I, W3), {"beta": I}),
+        ],
+    )
+    def test_eq_hash_repr_replace_and_pickle_as_before(self, make, change):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        fields = [f.name for f in dataclasses.fields(a)]
+        assert repr(a) == f"{type(a).__name__}(" + ", ".join(f"{n}={getattr(a, n)!r}" for n in fields) + ")"
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+        other = dataclasses.replace(a, **change)
+        assert other != a and all(getattr(other, n) == change.get(n, getattr(a, n)) for n in fields)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, fields[0], getattr(b, fields[0]))
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match="error bound"):
+            dataclasses.replace(ValueWithError(1.0, 0.0), error_bound=-1.0)
+        with pytest.raises(ValueError, match="outer exponent"):
+            dataclasses.replace(LiTerm(1, 4, 1, ONE, ONE), s=1)
+        d = decompose(MTIndex(2, 1, 2), I, W3)
+        with pytest.raises(ValueError, match="merged"):
+            dataclasses.replace(d, terms=d.terms + d.terms[:1])
 
 
 class TestLevel2:

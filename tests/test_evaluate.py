@@ -1015,6 +1015,27 @@ class TestOracle:
             b2 = oracle_tail_bound(p, q, r, 2000)
             assert 0 < b2 < b1
 
+    @pytest.mark.parametrize("r", [1023, 1070, 1100, 10**20])
+    def test_an_r_whose_scale_is_not_a_normal_double_is_refused(self, r, monkeypatch):
+        # 2**-r, the scale of the k = 2 term, must be a normal double for
+        # the roundoff allowance and the tail bound's argument to hold; past
+        # it both underflow and the bound read 0.  The refusal comes before
+        # any table is built.
+        monkeypatch.setattr(oracle, "_neg_int_pow", None)
+        with pytest.raises(ValueError, match=rf"^oracle_rows: r = {r} >= 1023: .*2\*\*-r.* normal double$"):
+            oracle_rows(MTIndex(2, 1, r), ONE, EvalConfig(oracle_cutoff=100))
+        with pytest.raises(ValueError, match=rf"r = {r} >= 1023"):
+            eval_mt_direct(MTIndex(2, 1, r), MINUS_ONE, W3, EvalConfig(oracle_cutoff=100))
+
+    @pytest.mark.parametrize("alpha", [ONE, MINUS_ONE, W3, RootOfUnity(1, 17)])
+    def test_r_1022_keeps_a_positive_bound(self, alpha):
+        # At r = 1022, 2**-r is the smallest normal double: the mass is
+        # normal, eps*(cutoff+64)*mass a subnormal above 0.  The value is
+        # the k = 2 term alpha * 2**-1022 within the bound; the terms from
+        # k = 3 on are below 3**-1022.
+        v = eval_mt_direct(MTIndex(2, 1, 1022), alpha, ONE, EvalConfig(oracle_cutoff=100))
+        assert 0.0 < v.error_bound and abs(v.value - alpha.value() * 2.0**-1022) <= v.error_bound
+
 
 ROOTS_1_TO_4 = sorted({RootOfUnity(k, n) for n in (1, 2, 3, 4) for k in range(n)}, key=RootOfUnity.sort_key)
 
@@ -1272,10 +1293,40 @@ class TestBetaClassSums:
         assert recolored.sums is not rows.sums
         assert sorted(rows.sums) == sorted(recolored.sums) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
+    def test_a_recolor_to_the_conjugate_starts_with_its_class_sums(self, cut):
+        # A recolor to the conjugate of its rows' alpha starts with the
+        # class sums of every order the rows have: the real parts as they
+        # are, the imaginary parts negated, a zero as +0.0.  They must be
+        # the conjugate's own class sums to the bit, zero signs included;
+        # at p = q the imaginary rows of i and -i cancel to exact zeros.  A
+        # recolor to another root of the order starts with none.
+        cfg, orders = EvalConfig(oracle_cutoff=cut), range(1, 18)
+        for idx in (MTIndex(1, 2, 2), MTIndex(2, 2, 1)):
+            for n in range(3, 17):
+                alpha = RootOfUnity(1, n)
+                rows = oracle_rows(idx, alpha, cfg)
+                for m in orders:
+                    rows.class_sums(m)
+                recolored = rows.recolor(alpha.conjugate())
+                assert sorted(recolored.sums) == list(orders) and recolored.sums is not rows.sums
+                fresh = oracle_rows(idx, alpha.conjugate(), cfg)
+                for m in orders:
+                    assert repr(recolored.sums[m]) == repr(fresh.class_sums(m)), (idx, alpha, m)
+                others = [k for k in range(2, n - 1) if math.gcd(k, n) == 1]
+                if others:
+                    assert rows.recolor(RootOfUnity(others[0], n)).sums == {}
+                for beta in (RootOfUnity(1, 4), RootOfUnity(5, 12), RootOfUnity(2, 17)):
+                    got = eval_mt_direct(idx, alpha.conjugate(), beta, cfg, rows=recolored)
+                    want = eval_mt_direct(idx, alpha.conjugate(), beta, cfg, rows=fresh)
+                    assert _bits(got) == _bits(want), (idx, alpha, beta)
+
     def test_one_class_sum_pass_per_rows_and_order(self, monkeypatch):
         # Over a weight-4 sweep each index has six rows objects (one per
-        # alpha) and betas of four orders: 24 class-sum passes of one
-        # bincount each, not one pass per case (36 per index).
+        # alpha) and betas of four orders.  The rows of 2/3 and 3/4, each a
+        # recolor of its conjugate's, start with the conjugate's class sums,
+        # so 16 class-sum passes of one bincount each remain, not one pass
+        # per case (36 per index).
         calls, bincount = [0], np.bincount
 
         def counting(*args, **kwargs):
@@ -1285,7 +1336,7 @@ class TestBetaClassSums:
         monkeypatch.setattr(np, "bincount", counting)
         reports = cross_check_grid(4, [1, 2, 3, 4], EvalConfig(tolerance=1e-8, oracle_cutoff=100))
         assert len(reports) == 36 * len(enumerate_indices(4))
-        assert calls[0] == 6 * 4 * len(enumerate_indices(4))
+        assert calls[0] == 4 * 4 * len(enumerate_indices(4))
 
 
 class TestOracleMemos:

@@ -107,18 +107,18 @@ def test_one_evaluation_per_p_and_q(monkeypatch):
     # the colors of the decompositions that read it, and decompose builds
     # each LiTerm once, after merging.
     binomials, built = [], []
-    binomial, post_init = decompose_module.binomial, decompose_module.LiTerm.__post_init__
+    binomial, init = decompose_module.binomial, decompose_module.LiTerm.__init__
 
     def counting_binomial(n, k):
         binomials.append((n, k))
         return binomial(n, k)
 
-    def counting_post_init(term):
-        built.append(term)
-        post_init(term)
+    def counting_init(term, *args):
+        built.append(args)
+        init(term, *args)
 
     monkeypatch.setattr(decompose_module, "binomial", counting_binomial)
-    monkeypatch.setattr(decompose_module.LiTerm, "__post_init__", counting_post_init)
+    monkeypatch.setattr(decompose_module.LiTerm, "__init__", counting_init)
     partial_fraction.cache_clear()
     terms = 0
     indices = enumerate_indices(7)
