@@ -72,6 +72,9 @@ class ValueWithError:
     object.__setattr__, not through the instance dict as LiTerm does:
     reading __dict__ would give every value a dict of its own, about 250
     bytes instead of 96 on CPython 3.11, and the Li memo keeps thousands.
+    With LiTerm's and Decomposition's, this constructor saves 5% of the
+    grid's latency_p50 and 7% of an eval pass (tests/data/ablations.txt,
+    row constructors).
     """
 
     value: complex

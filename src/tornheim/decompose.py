@@ -137,10 +137,11 @@ class LiTerm:
 
     The constructor refuses a coefficient below 1, s below 2 or t below 1,
     or any of them not an int, and writes the fields into the instance
-    dict in one step, as RootOfUnity's does: ==, hash, repr,
-    dataclasses.replace and pickling are those of the plain frozen
-    dataclass.  Reading __dict__ gives each term a dict of its own, about
+    dict in one step: ==, hash, repr, dataclasses.replace and pickling are
+    those of the plain frozen dataclass.  Reading __dict__ gives each term a dict of its own, about
     130 bytes more; terms are built per decomposition and seldom kept.
+    It saves time as ValueWithError's does (tests/data/ablations.txt, row
+    constructors).
     """
 
     coefficient: int
@@ -205,7 +206,8 @@ class Decomposition:
 
     The constructor refuses a term whose s + t is not the index's weight
     and two terms with one key (s, t, x, y), and writes the fields into the
-    instance dict in one step, as LiTerm's does.
+    instance dict in one step, as LiTerm's does (tests/data/ablations.txt,
+    row constructors).
     """
 
     index: MTIndex

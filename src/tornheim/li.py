@@ -59,13 +59,14 @@ Summation machinery, bottom up:
   call's batch, and a miss evaluates its key with every uncached shape of
   its group in that batch, in term order, in one _li_batch and stores
   every value the batch computes.  No module-level state is set for
-  this: a call without a batch is a batch of one.  A key whose conjugate
-  key is stored is served the stored value's exact conjugate, unless that
-  value has a zero part.  eval_li.cache_clear() empties all of them (only
-  the Euler-Maclaurin coefficients stay).  eval_li.cache_info() counts
-  values, not calls: its misses are the Li values computed, one head
-  tail_sum call each, and its hits the eval_li calls that returned a
-  value, beyond them.  hurwitz_tail stays uncached.  Memory grows with
+  this: a call without a batch is a batch of one.  A key asked for whose
+  conjugate key is stored is served the stored value's exact conjugate,
+  unless that value has a zero part; the shapes a batch adds are computed
+  whatever is stored for their conjugates.  eval_li.cache_clear() empties
+  all of them (only the Euler-Maclaurin coefficients stay).
+  eval_li.cache_info() counts values, not calls: its misses are the Li
+  values computed, one head tail_sum call each, and its hits the eval_li
+  calls that returned a value, beyond them.  hurwitz_tail stays uncached.  Memory grows with
   the distinct inputs: per distinct key, order floats for a row, n0 for a
   power table, n for a root-power table, one entry per tail_sum call or
   Li value, and 1 float and 2 small integers per j-series term of a
@@ -205,6 +206,8 @@ def _hurwitz_row(s: int, nn: int, n: int, order: int) -> tuple[tuple[float, ...]
     Every root of order nn shares this row; only the phases that weight it
     in tail_sum depend on the root's exponent.  The memo is typed, so an
     order of 8.0 reaches hurwitz_tail's refusal instead of the row of 8.
+    Without it an eval pass took 19% longer (tests/data/ablations.txt, row
+    hurwitz_row).
     """
     row = []
     bound = 0.0
@@ -243,7 +246,10 @@ def tail_sum(s: int, x: RootOfUnity, n: int, order: int = 8) -> ValueWithError:
 
 @lru_cache(maxsize=None)
 def _inv_powers(e: int, n0: int) -> np.ndarray:
-    """float(n) ** -e for n = n0, n0-1, ..., 1: the head's order of n."""
+    """float(n) ** -e for n = n0, n0-1, ..., 1: the head's order of n.
+
+    Without the memo an eval pass took 80% longer (tests/data/ablations.txt,
+    row inv_powers)."""
     return _read_only(np.array([float(n) ** -e for n in range(n0, 0, -1)]))
 
 
@@ -509,24 +515,26 @@ class _LiMemo:
 
     A miss runs one _li_batch for its key and the shapes (s', t') of the
     call's batch (eval_li's argument: a decomposition's own terms, or
-    nothing) with the same colors (x, y) that are not known yet, taken in
-    term order.  Every value the batch computes is stored, and computed
-    counts them: one head tail_sum call each, inside the eval_li span of
-    the miss.  calls counts the calls that returned a value: eval_li reads
-    a hit from values itself, leaves any other key to miss and counts the
-    call.  info() reads computed as the misses and the other calls as the
-    hits, so hits + misses = calls once every term of a batch has been
-    asked for, as eval_decomposition asks for all its terms before it
-    combines them.  A call that raises counts as neither.
+    nothing) with the same colors (x, y) that are not stored yet, taken in
+    term order, whatever is stored for their conjugates.  Every value the
+    batch computes is stored, and computed counts them: one head tail_sum
+    call each, inside the eval_li span of the miss.  calls counts the
+    calls that returned a value: eval_li reads a hit from values itself,
+    leaves any other key to miss and counts the call.  info() reads
+    computed as the misses and the other calls as the hits, so hits +
+    misses = calls once every term of a batch has been asked for, as
+    eval_decomposition asks for all its terms before it combines them.  A
+    call that raises counts as neither.
 
-    A key whose conjugate (s, t, conj x, conj y, n0) is stored is served
-    as the conjugate of that value with its bound, when both of the
-    value's parts are nonzero.  That is what evaluating the key gives:
-    root_value makes the phases of conjugate roots exactly conjugate, so
-    every product and sum of the head, the ladder rungs and the tail has
-    the same real part and the negated imaginary part, and np.hypot and
-    abs the same moduli.  Only the sign of a zero part can differ, so a
-    value with a zero part is not mirrored; its conjugate is computed.
+    The key itself, when its conjugate (s, t, conj x, conj y, n0) is
+    stored, is served as the conjugate of that value with its bound, when
+    both of the value's parts are nonzero, and runs no batch (_mirror).
+    That is what evaluating the key gives: root_value makes the phases of
+    conjugate roots exactly conjugate, so every product and sum of the
+    head, the ladder rungs and the tail has the same real part and the
+    negated imaginary part, and np.hypot and abs the same moduli.  Only
+    the sign of a zero part can differ, so a value with a zero part is not
+    mirrored; its conjugate is computed.
 
     Every value served is right under any interleaving of threads, and a
     batch holds only shapes of its own call's terms; the counts assume one
@@ -545,7 +553,9 @@ class _LiMemo:
         return _CacheInfo(self.calls - self.computed, self.computed, None, len(self.values))
 
     def _mirror(self, s: int, t: int, xc: RootOfUnity, yc: RootOfUnity, n0: int) -> ValueWithError | None:
-        """The conjugate of the stored value of (s, t, xc, yc, n0), if it may serve."""
+        """The conjugate of the stored value of (s, t, xc, yc, n0), if it may serve.
+
+        Without it the grid's latency_p50 rose 33% (tests/data/ablations.txt, row mirror)."""
         v = self.values.get((s, t, xc, yc, n0))
         if v is None or v.value.real == 0.0 or v.value.imag == 0.0:
             return None
@@ -554,18 +564,14 @@ class _LiMemo:
     def miss(self, s: int, t: int, x: RootOfUnity, y: RootOfUnity, n0: int, batch: tuple[LiTerm, ...]) -> ValueWithError:
         """The value of a key not in values, mirrored or computed, then stored."""
         key = (s, t, x, y, n0)
-        xc, yc = x.conjugate(), y.conjugate()
-        v = self._mirror(s, t, xc, yc, n0)
+        v = self._mirror(s, t, x.conjugate(), y.conjugate(), n0)
         if v is not None:
             self.values[key] = v
             return v
         shapes = [(s, t)] + [
             (u.s, u.t)
             for u in batch
-            if (u.x, u.y) == (x, y)
-            and (u.s, u.t) != (s, t)
-            and (u.s, u.t, x, y, n0) not in self.values
-            and self._mirror(u.s, u.t, xc, yc, n0) is None
+            if (u.x, u.y) == (x, y) and (u.s, u.t) != (s, t) and (u.s, u.t, x, y, n0) not in self.values
         ]
         for (si, ti), (value, bound) in zip(shapes, _li_batch(shapes, x, y, n0)):
             self.values[si, ti, x, y, n0] = ValueWithError(value, bound)

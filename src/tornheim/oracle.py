@@ -19,11 +19,8 @@ phase-weighted columns instead.  Scratch memory is O(cutoff), at most
 about 40*cutoff doubles.  What the rows keep for beta is O(cutoff) per
 order of beta too: per order n, the class sums, at most 2*min(n, cutoff+1)
 doubles, and once the k^-r-weighted rows, 2*(cutoff-1) doubles, on each
-rows object alone; a recolor shares only read-only arrays and the bound.
-A recolor to the conjugate of its rows' alpha starts with their class sums,
-the imaginary parts negated: root_value makes the phases of conjugate
-roots exact conjugates, so that is the conjugate's own class sums to the
-bit, and cross_check_grid's rows of 2/3 and 3/4 run no class-sum pass.
+rows object alone; a recolor shares only read-only arrays and the bound,
+and computes its own class sums.
 
 Two module memos serve every rows object, so a warm sweep case pays only
 for its own beta.  _class_index keeps, per (cutoff, ord beta), the bins of
@@ -273,7 +270,8 @@ def _phase_parts(root: RootOfUnity, count: int) -> tuple[tuple[float, ...], tupl
 @lru_cache(maxsize=None)
 def _phase_table(root: RootOfUnity) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """_phase_parts(root, ord root + 1), kept for roots of order up to
-    _MAX_CLASS_ORDER: 80 roots, at most 17 phases each."""
+    _MAX_CLASS_ORDER: 80 roots, at most 17 phases each.  Without the memo the
+    grid's latency_p50 rose 22% (tests/data/ablations.txt, row phase_table)."""
     return _phase_parts(root, root.order + 1)
 
 
@@ -294,7 +292,9 @@ def _phases(root: RootOfUnity, count: int) -> tuple[tuple[float, ...], tuple[flo
 def _class_index(cutoff: int, n: int) -> tuple[np.ndarray, int]:
     """The bins of OracleRows.class_sums for beta of order n: [k mod n,
     m + k mod n] for k = 2..cutoff, read-only, and m, the number of classes
-    k mod n, which is the highest of them plus one (0 at cutoff 1)."""
+    k mod n, which is the highest of them plus one (0 at cutoff 1).  Without
+    the memo the grid's latency_p50 rose 42% (tests/data/ablations.txt, row
+    class_index)."""
     classes = np.arange(2, cutoff + 1) % n
     m = int(classes.max()) + 1 if len(classes) else 0
     return _read_only(np.concatenate((classes, classes + m))), m
@@ -336,11 +336,9 @@ class OracleRows:
     per order n of beta (class_sums), computed the first time an order is
     read: they do not depend on beta's exponent.  That is O(cutoff) per
     order, it is not a memo of the Li layer, and each rows object, a
-    recolor too, has its own, as it has its own weighted rows, the k^-r-
-    weighted re and im rows end to end (2*(cutoff-1) doubles), built with
-    its first class sums.  A recolor to the conjugate alpha starts with
-    the entries its rows hold then, converted (recolor), and computes any
-    other order itself.  Threads sharing the rows may each compute an
+    recolor too, computes its own, as it builds its own weighted rows, the
+    k^-r-weighted re and im rows end to end (2*(cutoff-1) doubles), with
+    its first class sums.  Threads sharing the rows may each compute an
     entry once, with the same bits.
     """
 
@@ -357,7 +355,9 @@ class OracleRows:
 
     @cached_property
     def weighted(self) -> np.ndarray:
-        """re*kf then im*kf in one array: the terms the class sums add."""
+        """re*kf then im*kf in one array: the terms the class sums add.  Built
+        once per rows instead of once per order, it saves 11% of the grid's
+        latency_p50 (tests/data/ablations.txt, row weighted)."""
         return np.concatenate((self.re * self.kf, self.im * self.kf))
 
     def class_sums(self, n: int) -> tuple[list[float], list[float]]:
@@ -378,27 +378,14 @@ class OracleRows:
         stored class rows, contracts nothing and shares the read-only
         classes, mod and kf and the bound; any other is a fresh
         oracle_rows(index, alpha) at this cutoff.  Either way the bits are
-        those of a fresh oracle_rows.
-
-        The conjugate of this rows' alpha (the same order, above 2) also
-        starts with the class sums of every order this rows object holds,
-        read from a copy of sums: the real parts as they are and each
-        imaginary part y as -y + 0.0.  The conjugate's rows are re and -im
-        to the bit, up to the sign of a zero (the phases of conjugate roots
-        are exact conjugates), and each bin of np.bincount starts at +0.0
-        and adds in k order, so its sums are the real sums and the negated
-        imaginary ones, a zero being +0.0 whatever its terms' signs.  That
-        is -y + 0.0, so the sums are bit for bit what the conjugate's
-        class_sums would compute."""
+        those of a fresh oracle_rows, and the rows start with no class
+        sums."""
         if alpha == self.alpha:
             return self
         if alpha.order != self.alpha.order or self.classes is None:
             return oracle_rows(self.index, alpha, EvalConfig(oracle_cutoff=self.cutoff))
         re, im, _ = _combine(self.classes, alpha)
-        rows = replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
-        if alpha == self.alpha.conjugate():
-            rows.sums.update((n, (sr, [-y + 0.0 for y in si])) for n, (sr, si) in self.sums.copy().items())
-        return rows
+        return replace(self, alpha=alpha, re=_read_only(re), im=_read_only(im))
 
 
 def oracle_rows(index: MTIndex, alpha: RootOfUnity, cfg: EvalConfig = DEFAULT_CONFIG) -> OracleRows:
@@ -471,10 +458,9 @@ def eval_mt_direct(
     A sweep over beta may pass the rows of its (index, alpha) to every
     call: the value and bound are bit for bit those of the call without
     them.  The rows then compute the class sums once per order of beta
-    (OracleRows.class_sums), or take them from the rows of the conjugate
-    alpha they were recolored from, so a call whose order the rows hold
-    reads its phases (_phases) and builds only its own combination, and
-    what the rows keep stays O(cutoff) per order.  Rows built for another
+    (OracleRows.class_sums), so a call whose order the rows hold reads its
+    phases (_phases) and builds only its own combination, and what the
+    rows keep stays O(cutoff) per order.  Rows built for another
     index, alpha or cutoff are a ValueError naming the field, and so is a
     root of order above MAX_ROOT_ORDER (checked only for such an order).
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -126,6 +127,20 @@ class TestRootOfUnity:
         assert {a: "i"}[b] == "i"
         c = pickle.loads(pickle.dumps(a))
         assert c == a and hash(c) == hash(a) and repr(c) == repr(a) == "RootOfUnity(exponent=1, order=4)"
+
+    def test_a_root_has_no_instance_dict_and_behaves_as_a_frozen_dataclass(self):
+        a = RootOfUnity(6, 16)
+        assert not hasattr(a, "__dict__") and RootOfUnity.__slots__ == ("exponent", "order", "_hash")
+        assert a == RootOfUnity(3, 8) != RootOfUnity(5, 8) and hash(a) == hash((3, 8))
+        assert repr(a) == "RootOfUnity(exponent=3, order=8)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.order = 4
+        b = dataclasses.replace(a, exponent=10)
+        assert (b.exponent, b.order, hash(b)) == (1, 4, hash((1, 4))) and b == RootOfUnity(1, 4)
+        assert dataclasses.astuple(a) == (3, 8)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            c = pickle.loads(pickle.dumps(a, protocol))
+            assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
 
     def test_rejects_bad_types(self):
         for e, n in [(1.0, 2), (1, 2.0), ("1", 2), (None, 3), (Fraction(1, 2), 4)]:

@@ -546,6 +546,38 @@ class TestLiMemos:
         tail_sum(3, I, 64)
         assert len(calls) == 8
 
+    def test_a_miss_computes_every_uncached_shape_whatever_its_conjugate_holds(self, monkeypatch):
+        # Only the key asked for is mirrored.  Once the conjugate colors'
+        # values of two shapes are stored, a miss of a third shape computes
+        # all three shapes of its colors in one batch, one head tail_sum
+        # each, and the two have the bits the mirror would have served.
+        x, y = RootOfUnity(1, 8), W3
+        shapes = [(3, 2), (2, 1), (5, 1)]
+        conj = tuple(LiTerm(1, s, t, x.conjugate(), y.conjugate()) for s, t in shapes[1:])
+        own = tuple(LiTerm(1, s, t, x, y) for s, t in shapes)
+        eval_li.cache_clear()
+        stored = [eval_li(u.s, u.t, u.x, u.y, batch=conj) for u in conj]
+        batches, heads, li_batch, tail = [], [], li._li_batch, li.tail_sum
+
+        def recording(shapes, x, y, n0):
+            batches.append(list(shapes))
+            return li_batch(shapes, x, y, n0)
+
+        def counting(s, x, n, order=8):
+            if order == li._HEAD_ORDER:
+                heads.append(s)
+            return tail(s, x, n, order)
+
+        monkeypatch.setattr(li, "_li_batch", recording)
+        monkeypatch.setattr(li, "tail_sum", counting)
+        got = [eval_li(u.s, u.t, u.x, u.y, batch=own) for u in own]
+        info = eval_li.cache_info()
+        eval_li.cache_clear()
+        assert batches == [shapes] and sorted(heads) == sorted(s for s, _ in shapes)
+        assert (info.hits, info.misses) == (0, 5)
+        for v, w in zip(got[1:], stored):
+            assert (repr(v.value), repr(v.error_bound)) == (repr(w.value.conjugate()), repr(w.error_bound))
+
     def test_cold_value_equals_warm_value_bit_for_bit(self):
         shapes = [(2, 1, I, W3), (5, 3, RootOfUnity(5, 12), RootOfUnity(3, 8)), (19, 1, MINUS_ONE, I)]
         eval_li.cache_clear()
@@ -1293,40 +1325,10 @@ class TestBetaClassSums:
         assert recolored.sums is not rows.sums
         assert sorted(rows.sums) == sorted(recolored.sums) == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("cut", [1, 2, 3, 17, 1000])
-    def test_a_recolor_to_the_conjugate_starts_with_its_class_sums(self, cut):
-        # A recolor to the conjugate of its rows' alpha starts with the
-        # class sums of every order the rows have: the real parts as they
-        # are, the imaginary parts negated, a zero as +0.0.  They must be
-        # the conjugate's own class sums to the bit, zero signs included;
-        # at p = q the imaginary rows of i and -i cancel to exact zeros.  A
-        # recolor to another root of the order starts with none.
-        cfg, orders = EvalConfig(oracle_cutoff=cut), range(1, 18)
-        for idx in (MTIndex(1, 2, 2), MTIndex(2, 2, 1)):
-            for n in range(3, 17):
-                alpha = RootOfUnity(1, n)
-                rows = oracle_rows(idx, alpha, cfg)
-                for m in orders:
-                    rows.class_sums(m)
-                recolored = rows.recolor(alpha.conjugate())
-                assert sorted(recolored.sums) == list(orders) and recolored.sums is not rows.sums
-                fresh = oracle_rows(idx, alpha.conjugate(), cfg)
-                for m in orders:
-                    assert repr(recolored.sums[m]) == repr(fresh.class_sums(m)), (idx, alpha, m)
-                others = [k for k in range(2, n - 1) if math.gcd(k, n) == 1]
-                if others:
-                    assert rows.recolor(RootOfUnity(others[0], n)).sums == {}
-                for beta in (RootOfUnity(1, 4), RootOfUnity(5, 12), RootOfUnity(2, 17)):
-                    got = eval_mt_direct(idx, alpha.conjugate(), beta, cfg, rows=recolored)
-                    want = eval_mt_direct(idx, alpha.conjugate(), beta, cfg, rows=fresh)
-                    assert _bits(got) == _bits(want), (idx, alpha, beta)
-
     def test_one_class_sum_pass_per_rows_and_order(self, monkeypatch):
         # Over a weight-4 sweep each index has six rows objects (one per
-        # alpha) and betas of four orders.  The rows of 2/3 and 3/4, each a
-        # recolor of its conjugate's, start with the conjugate's class sums,
-        # so 16 class-sum passes of one bincount each remain, not one pass
-        # per case (36 per index).
+        # alpha) and betas of four orders, so 24 class-sum passes of one
+        # bincount each, not one pass per case (36 per index).
         calls, bincount = [0], np.bincount
 
         def counting(*args, **kwargs):
@@ -1336,7 +1338,7 @@ class TestBetaClassSums:
         monkeypatch.setattr(np, "bincount", counting)
         reports = cross_check_grid(4, [1, 2, 3, 4], EvalConfig(tolerance=1e-8, oracle_cutoff=100))
         assert len(reports) == 36 * len(enumerate_indices(4))
-        assert calls[0] == 4 * 4 * len(enumerate_indices(4))
+        assert calls[0] == 6 * 4 * len(enumerate_indices(4))
 
 
 class TestOracleMemos:
